@@ -1,77 +1,75 @@
 #include "src/analysis/impossibility.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
+#include "src/analysis/state_table.hpp"
 #include "src/core/matching.hpp"
-#include "src/engine/sync_engine.hpp"
 
 namespace lumi {
 
 namespace {
 
-/// Identity-preserving state: (pos, color) per robot.  Identities matter for
-/// the per-robot fairness bookkeeping, so no canonicalization here.
-struct GameState {
-  std::vector<Robot> robots;
-};
-
-std::string encode(const Grid& grid, const GameState& s) {
-  std::string out;
-  out.reserve(s.robots.size() * 2);
-  for (const Robot& r : s.robots) {
-    out.push_back(static_cast<char>(grid.index(r.pos)));
-    out.push_back(static_cast<char>(r.color));
-  }
-  return out;
-}
+/// Largest node index a game key can hold (14 bits per robot).
+constexpr int kMaxGameNodes = 1 << 14;
 
 struct Edge {
   int to = -1;
   std::uint32_t activated = 0;  ///< bitmask of robots acting on this edge
 };
 
-struct Node {
-  GameState state;
-  std::vector<Edge> edges;
-  std::uint32_t enabled_mask = 0;  ///< robots enabled in this configuration
-  bool terminal = false;
-};
-
+/// The SSYNC game graph of one algorithm on one grid, rebuilt per protected
+/// target.  A node is an identity-preserving state, (pos, color) per robot:
+/// identities matter for the per-robot fairness bookkeeping, so no
+/// canonicalization here.  Node ids are StateTable ids (BFS order), and the
+/// table's key array is the graph's flat state storage: 16 bits per robot
+/// (node index << 2 | color), four robots to a word.  Edges are CSR: node v's
+/// outgoing edges are edges_[edge_begin_[v], edge_begin_[v + 1]).
 class Game {
  public:
-  Game(const Algorithm& alg, const Grid& grid, Vec target, long max_states)
-      : alg_(alg), compiled_(CompiledAlgorithm::get(alg)), grid_(grid), target_(target),
-        max_states_(max_states) {}
+  Game(const Algorithm& alg, const Grid& grid, long max_states)
+      : alg_(alg), compiled_(CompiledAlgorithm::get(alg)), grid_(grid),
+        max_states_(max_states), k_(alg.initial_robots.size()), config_(grid, {}),
+        robots_(k_), next_(k_), actions_(k_), key_((k_ + 3) / 4) {}
 
-  AdversaryResult solve() {
+  AdversaryResult solve(Vec target) {
+    target_ = target;
     AdversaryResult result;
     result.protected_node = target_;
 
-    GameState init;
-    for (const auto& [pos, color] : alg_.initial_robots) init.robots.push_back(Robot{pos, color});
-    if (occupies_target(init)) {
+    for (std::size_t r = 0; r < k_; ++r) {
+      const auto& [pos, color] = alg_.initial_robots[r];
+      robots_[r] = Robot{pos, color};
+    }
+    if (occupies_target(robots_)) {
       result.summary = "initial configuration already occupies the target";
       return result;
     }
-    const int root = intern(init);
+    config_.reset_robots(robots_);  // rejects off-grid placements
+    table_.reset(key_.size());
+    edges_.clear();
+    edge_begin_.clear();
+    enabled_mask_.clear();
+    intern(config_.robots());  // the root, id 0
     // BFS expansion of the restricted graph (successors that keep the
     // target node unoccupied).
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (static_cast<long>(nodes_.size()) > max_states_) {
+    for (std::int32_t i = 0; i < table_.size(); ++i) {
+      if (table_.size() > max_states_) {
         result.summary = "state budget exhausted";
-        result.states = static_cast<long>(nodes_.size());
+        result.states = table_.size();
         return result;
       }
-      expand(static_cast<int>(i));
+      expand(i);
     }
-    result.states = static_cast<long>(nodes_.size());
+    edge_begin_.push_back(edges_.size());
+    result.states = table_.size();
 
     // (a) reachable terminal configuration?
-    for (const Node& n : nodes_) {
-      if (n.terminal) {
+    for (const std::uint32_t enabled : enabled_mask_) {
+      if (enabled == 0) {
         result.adversary_wins = true;
         result.via_terminal = true;
         result.summary = "terminal configuration reachable while avoiding the target";
@@ -79,7 +77,7 @@ class Game {
       }
     }
     // (b) SCC with a fair cycle?
-    if (fair_scc_exists(root)) {
+    if (fair_scc_exists(0)) {
       result.adversary_wins = true;
       result.via_fair_cycle = true;
       result.summary = "fair non-terminating schedule avoids the target forever";
@@ -90,61 +88,66 @@ class Game {
   }
 
  private:
-  bool occupies_target(const GameState& s) const {
-    for (const Robot& r : s.robots) {
+  bool occupies_target(std::span<const Robot> robots) const {
+    for (const Robot& r : robots) {
       if (r.pos == target_) return true;
     }
     return false;
   }
 
-  int intern(const GameState& s) {
-    const std::string key = encode(grid_, s);
-    auto it = index_.find(key);
-    if (it != index_.end()) return it->second;
-    const int id = static_cast<int>(nodes_.size());
-    index_.emplace(key, id);
-    Node n;
-    n.state = s;
-    nodes_.push_back(std::move(n));
-    return id;
+  int intern(std::span<const Robot> robots) {
+    std::fill(key_.begin(), key_.end(), 0);
+    for (std::size_t r = 0; r < robots.size(); ++r) {
+      const auto field = static_cast<std::uint64_t>(grid_.index(robots[r].pos)) << 2 |
+                         static_cast<std::uint64_t>(robots[r].color);
+      key_[r / 4] |= field << (16 * (r % 4));
+    }
+    return table_.intern(key_.data()).first;
   }
 
-  void expand(int id) {
-    // note: nodes_ may reallocate while emitting; copy what we need first.
-    const GameState state = nodes_[static_cast<std::size_t>(id)].state;
-    Configuration config(grid_, state.robots);
-    std::vector<std::vector<Action>> actions(state.robots.size());
+  /// Reads node `id`'s robots back from its key into robots_.
+  void decode(std::int32_t id) {
+    const std::uint64_t* key = table_.key(id);
+    for (std::size_t r = 0; r < k_; ++r) {
+      const auto field = static_cast<int>((key[r / 4] >> (16 * (r % 4))) & 0xFFFF);
+      robots_[r] = Robot{grid_.node(field >> 2), static_cast<Color>(field & 3)};
+    }
+  }
+
+  /// Computes node `id`'s enabled robots and appends its outgoing edges;
+  /// nodes are expanded in id order, so each node's edges are contiguous.
+  void expand(std::int32_t id) {
+    decode(id);
+    config_.reset_robots(robots_);
     std::uint32_t enabled_mask = 0;
-    std::vector<int> enabled;
-    for (int r = 0; r < static_cast<int>(state.robots.size()); ++r) {
-      actions[static_cast<std::size_t>(r)] = enabled_actions(*compiled_, config, r);
-      if (!actions[static_cast<std::size_t>(r)].empty()) {
+    std::array<int, kMaxSearchRobots> enabled{};
+    std::size_t n = 0;
+    for (std::size_t r = 0; r < k_; ++r) {
+      take_snapshot_into(config_, static_cast<int>(r), compiled_->phi(), snap_);
+      enabled_actions_into(*compiled_, snap_, actions_[r]);
+      if (!actions_[r].empty()) {
         enabled_mask |= 1u << r;
-        enabled.push_back(r);
+        enabled[n++] = static_cast<int>(r);
       }
     }
-    nodes_[static_cast<std::size_t>(id)].enabled_mask = enabled_mask;
-    if (enabled.empty()) {
-      nodes_[static_cast<std::size_t>(id)].terminal = true;
-      return;
-    }
+    enabled_mask_.push_back(enabled_mask);
+    edge_begin_.push_back(edges_.size());
     // Every nonempty subset x every action-choice combination.
-    const std::size_t n = enabled.size();
-    std::vector<Edge> edges;
     for (std::uint64_t mask = 1; mask < (1ULL << n); ++mask) {
-      std::vector<int> subset;
+      std::array<int, kMaxSearchRobots> subset{};
+      std::size_t m = 0;
       for (std::size_t b = 0; b < n; ++b) {
-        if (mask & (1ULL << b)) subset.push_back(enabled[b]);
+        if (mask & (1ULL << b)) subset[m++] = enabled[b];
       }
-      std::vector<std::size_t> choice(subset.size(), 0);
+      std::array<std::size_t, kMaxSearchRobots> choice{};
       while (true) {
-        GameState next = state;
+        std::copy(robots_.begin(), robots_.end(), next_.begin());
         std::uint32_t activated = 0;
         bool legal = true;
-        for (std::size_t i = 0; i < subset.size() && legal; ++i) {
+        for (std::size_t i = 0; i < m && legal; ++i) {
           const int robot = subset[i];
-          const Action& a = actions[static_cast<std::size_t>(robot)][choice[i]];
-          Robot& r = next.robots[static_cast<std::size_t>(robot)];
+          const Action& a = actions_[static_cast<std::size_t>(robot)][choice[i]];
+          Robot& r = next_[static_cast<std::size_t>(robot)];
           r.color = a.new_color;
           if (a.move.has_value()) {
             const std::optional<Vec> to = grid_.step(r.pos, *a.move);
@@ -156,129 +159,151 @@ class Game {
           }
           activated |= 1u << robot;
         }
-        if (legal && !occupies_target(next)) {
-          edges.push_back(Edge{intern(next), activated});
-        }
+        if (legal && !occupies_target(next_)) edges_.push_back(Edge{intern(next_), activated});
         std::size_t d = 0;
-        while (d < subset.size()) {
+        while (d < m) {
           choice[d] += 1;
-          if (choice[d] < actions[static_cast<std::size_t>(subset[d])].size()) break;
+          if (choice[d] < actions_[static_cast<std::size_t>(subset[d])].size()) break;
           choice[d] = 0;
           d += 1;
         }
-        if (d == subset.size()) break;
+        if (d == m) break;
       }
     }
-    nodes_[static_cast<std::size_t>(id)].edges = std::move(edges);
   }
 
   /// Tarjan SCCs over the restricted graph; a component admits a fair cycle
   /// iff it contains an edge (cycle exists) and every robot is activated on
-  /// some internal edge or disabled in some member configuration.
+  /// some internal edge or disabled in some member configuration.  Each
+  /// component is judged as it is completed: every node it reaches outside
+  /// itself already belongs to an earlier component.
   bool fair_scc_exists(int root) {
-    const int n = static_cast<int>(nodes_.size());
-    std::vector<int> index(static_cast<std::size_t>(n), -1);
-    std::vector<int> low(static_cast<std::size_t>(n), 0);
-    std::vector<int> comp(static_cast<std::size_t>(n), -1);
-    std::vector<bool> on_stack(static_cast<std::size_t>(n), false);
-    std::vector<int> scc_stack;
+    const auto n = static_cast<std::size_t>(table_.size());
+    index_.assign(n, -1);
+    low_.assign(n, 0);
+    comp_.assign(n, -1);
+    on_stack_.assign(n, false);
+    scc_stack_.clear();
+    call_.clear();
     int next_index = 0;
     int next_comp = 0;
 
-    struct Frame {
-      int v;
-      std::size_t edge = 0;
-    };
-    std::vector<Frame> call;
-    call.push_back({root});
-    index[static_cast<std::size_t>(root)] = low[static_cast<std::size_t>(root)] = next_index++;
-    scc_stack.push_back(root);
-    on_stack[static_cast<std::size_t>(root)] = true;
+    call_.push_back({root, edge_begin_[static_cast<std::size_t>(root)]});
+    index_[static_cast<std::size_t>(root)] = low_[static_cast<std::size_t>(root)] = next_index++;
+    scc_stack_.push_back(root);
+    on_stack_[static_cast<std::size_t>(root)] = true;
 
-    std::vector<std::vector<int>> components;
-    while (!call.empty()) {
-      Frame& f = call.back();
-      const auto& edges = nodes_[static_cast<std::size_t>(f.v)].edges;
-      if (f.edge < edges.size()) {
-        const int w = edges[f.edge].to;
+    while (!call_.empty()) {
+      Frame& f = call_.back();
+      const auto v = static_cast<std::size_t>(f.v);
+      if (f.edge < edge_begin_[v + 1]) {
+        const int w = edges_[f.edge].to;
         f.edge += 1;
-        if (index[static_cast<std::size_t>(w)] < 0) {
-          index[static_cast<std::size_t>(w)] = low[static_cast<std::size_t>(w)] = next_index++;
-          scc_stack.push_back(w);
-          on_stack[static_cast<std::size_t>(w)] = true;
-          call.push_back({w});
-        } else if (on_stack[static_cast<std::size_t>(w)]) {
-          low[static_cast<std::size_t>(f.v)] =
-              std::min(low[static_cast<std::size_t>(f.v)], index[static_cast<std::size_t>(w)]);
+        if (index_[static_cast<std::size_t>(w)] < 0) {
+          index_[static_cast<std::size_t>(w)] = low_[static_cast<std::size_t>(w)] = next_index++;
+          scc_stack_.push_back(w);
+          on_stack_[static_cast<std::size_t>(w)] = true;
+          call_.push_back({w, edge_begin_[static_cast<std::size_t>(w)]});
+        } else if (on_stack_[static_cast<std::size_t>(w)]) {
+          low_[v] = std::min(low_[v], index_[static_cast<std::size_t>(w)]);
         }
-      } else {
-        if (low[static_cast<std::size_t>(f.v)] == index[static_cast<std::size_t>(f.v)]) {
-          components.emplace_back();
-          while (true) {
-            const int w = scc_stack.back();
-            scc_stack.pop_back();
-            on_stack[static_cast<std::size_t>(w)] = false;
-            comp[static_cast<std::size_t>(w)] = next_comp;
-            components.back().push_back(w);
-            if (w == f.v) break;
-          }
-          next_comp += 1;
-        }
-        const int v = f.v;
-        call.pop_back();
-        if (!call.empty()) {
-          low[static_cast<std::size_t>(call.back().v)] = std::min(
-              low[static_cast<std::size_t>(call.back().v)], low[static_cast<std::size_t>(v)]);
-        }
+        continue;
       }
-    }
-
-    const std::uint32_t all_robots =
-        (1u << alg_.initial_robots.size()) - 1u;
-    for (const std::vector<int>& members : components) {
-      std::uint32_t activated = 0;
-      std::uint32_t disabled_somewhere = 0;
-      bool has_internal_edge = false;
-      for (int v : members) {
-        disabled_somewhere |= ~nodes_[static_cast<std::size_t>(v)].enabled_mask & all_robots;
-        for (const Edge& e : nodes_[static_cast<std::size_t>(v)].edges) {
-          if (comp[static_cast<std::size_t>(e.to)] == comp[static_cast<std::size_t>(v)]) {
-            has_internal_edge = true;
-            activated |= e.activated;
-          }
-        }
+      if (low_[v] == index_[v]) {
+        std::size_t first = scc_stack_.size();
+        do {
+          first -= 1;
+          const auto w = static_cast<std::size_t>(scc_stack_[first]);
+          on_stack_[w] = false;
+          comp_[w] = next_comp;
+        } while (scc_stack_[first] != f.v);
+        if (fair(std::span(scc_stack_).subspan(first))) return true;
+        scc_stack_.resize(first);
+        next_comp += 1;
       }
-      if (has_internal_edge && ((activated | disabled_somewhere) & all_robots) == all_robots) {
-        return true;
+      call_.pop_back();
+      if (!call_.empty()) {
+        const auto u = static_cast<std::size_t>(call_.back().v);
+        low_[u] = std::min(low_[u], low_[v]);
       }
     }
     return false;
   }
 
+  /// Whether the just-completed component `members` supports a fair cycle.
+  bool fair(std::span<const int> members) const {
+    const std::uint32_t all_robots = (1u << k_) - 1u;
+    std::uint32_t activated = 0;
+    std::uint32_t disabled_somewhere = 0;
+    bool has_internal_edge = false;
+    for (const int m : members) {
+      const auto v = static_cast<std::size_t>(m);
+      disabled_somewhere |= ~enabled_mask_[v] & all_robots;
+      for (std::size_t e = edge_begin_[v]; e < edge_begin_[v + 1]; ++e) {
+        if (comp_[static_cast<std::size_t>(edges_[e].to)] == comp_[v]) {
+          has_internal_edge = true;
+          activated |= edges_[e].activated;
+        }
+      }
+    }
+    return has_internal_edge && ((activated | disabled_somewhere) & all_robots) == all_robots;
+  }
+
+  struct Frame {
+    int v;
+    std::size_t edge;  ///< next edge of v to follow, an index into edges_
+  };
+
   const Algorithm& alg_;
   std::shared_ptr<const CompiledAlgorithm> compiled_;
   const Grid& grid_;
-  Vec target_;
   long max_states_;
-  std::vector<Node> nodes_;
-  std::unordered_map<std::string, int> index_;
+  std::size_t k_;  ///< robots per state
+  Vec target_;
+
+  StateTable table_;                     ///< node id <-> packed robot states
+  std::vector<Edge> edges_;              ///< CSR edge array
+  std::vector<std::size_t> edge_begin_;  ///< per node, plus one past the last
+  std::vector<std::uint32_t> enabled_mask_;  ///< per node; 0 = terminal
+
+  Configuration config_;  ///< the node being expanded, reloaded in place
+  Snapshot snap_;
+  std::vector<Robot> robots_;                 ///< decode() output
+  std::vector<Robot> next_;                   ///< the successor being built
+  std::vector<std::vector<Action>> actions_;  ///< per robot, reused across nodes
+  std::vector<std::uint64_t> key_;            ///< intern() scratch
+
+  // Tarjan scratch, reused across targets.
+  std::vector<int> index_, low_, comp_;
+  std::vector<bool> on_stack_;
+  std::vector<int> scc_stack_;
+  std::vector<Frame> call_;
 };
+
+void check_game_size(const Algorithm& alg, const Grid& grid) {
+  if (alg.num_robots() > 30) throw std::invalid_argument("too many robots for the game solver");
+  if (grid.num_nodes() > kMaxGameNodes) {
+    throw std::invalid_argument("game solver: grid too large (>16384 nodes)");
+  }
+}
 
 }  // namespace
 
 AdversaryResult check_protected_node(const Algorithm& alg, const Grid& grid, Vec target,
                                      const AdversaryOptions& opts) {
-  if (alg.num_robots() > 30) throw std::invalid_argument("too many robots for the game solver");
-  Game game(alg, grid, target, opts.max_states);
-  return game.solve();
+  check_game_size(alg, grid);
+  Game game(alg, grid, opts.max_states);
+  return game.solve(target);
 }
 
 AdversaryResult find_ssync_adversary(const Algorithm& alg, const Grid& grid,
                                      const AdversaryOptions& opts) {
+  check_game_size(alg, grid);
+  Game game(alg, grid, opts.max_states);
   AdversaryResult overall;
   for (int idx = 0; idx < grid.num_nodes(); ++idx) {
     if (!grid.is_node_index(idx)) continue;  // walls are not defensible nodes
-    AdversaryResult r = check_protected_node(alg, grid, grid.node(idx), opts);
+    AdversaryResult r = game.solve(grid.node(idx));
     overall.states += r.states;
     if (r.adversary_wins) {
       r.states = overall.states;

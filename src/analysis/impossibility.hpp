@@ -12,6 +12,14 @@
 //       fairness is satisfied vacuously).
 // Theorem 1 states that for k=2, phi=1 *every* algorithm loses against such
 // an adversary; this module demonstrates it constructively per algorithm.
+//
+// Representation: game states are interned in a StateTable
+// (src/analysis/state_table.hpp) under a 16-bit field per robot (14-bit node
+// index, 2-bit color), in robot order.  The table's key array doubles as the
+// graph's flat node storage and edges are kept in CSR form; one game object
+// and one reusable Configuration serve every target of find_ssync_adversary.
+// Grids of more than 16384 nodes (the key width) and algorithms of more than
+// 30 robots throw std::invalid_argument.
 #pragma once
 
 #include <optional>

@@ -11,6 +11,15 @@
 //   * no robot ever steps off the grid (engine-level exception).
 // States carry the visited-node bitmask, so coverage is exact per path
 // prefix; anonymous robots are canonicalized to collapse symmetric states.
+//
+// Representation (src/analysis/state_table.hpp): a state's key is one 15-bit
+// field per robot (node, color, ASYNC phase, pending color and move), sorted,
+// packed four to a u64, followed by the 64-bit visited word; the DFS interns
+// it in an open-addressing StateTable.  Successors live in one pool with
+// stack discipline and each state is matched by reloading one reusable
+// Configuration, so a DFS step allocates nothing once the pool has grown.
+// Grids are limited to 64 nodes (the visited word) and algorithms to 32
+// robots; both limits throw std::invalid_argument.
 #pragma once
 
 #include <cstdint>

@@ -32,6 +32,22 @@ Configuration::Configuration(const Configuration& other, std::pmr::memory_resour
       journal_(other.journal_.begin(), other.journal_.end(),
                mem != nullptr ? mem : std::pmr::get_default_resource()) {}
 
+void Configuration::reset_robots(std::span<const Robot> robots) {
+  for (const Robot& r : robots) {
+    if (grid_.canonical_index(r.pos) < 0) {
+      throw std::invalid_argument("robot placed outside the grid");
+    }
+  }
+  for (const Robot& r : robots_) occupancy_[static_cast<std::size_t>(grid_.index(r.pos))] = {};
+  robots_.assign(robots.begin(), robots.end());
+  for (Robot& r : robots_) {
+    const int idx = grid_.canonical_index(r.pos);
+    r.pos = grid_.node(idx);
+    occupancy_[static_cast<std::size_t>(idx)].add(r.color);
+  }
+  journal_.clear();
+}
+
 void Configuration::move_robot(int i, Vec to) {
   Robot& r = robots_.at(static_cast<std::size_t>(i));
   const int to_index = grid_.canonical_index(to);

@@ -64,6 +64,14 @@ class Configuration {
   /// configuration once and stamps per-item arena-backed copies from it.
   Configuration(const Configuration& other, std::pmr::memory_resource* mem);
 
+  /// Replaces every robot in place, as if freshly constructed on the same
+  /// topology with `robots` (same placement checks, canonical storage, empty
+  /// journal), but reusing this object's tables: the exhaustive searches
+  /// reload one configuration per state instead of constructing one.  Clears
+  /// only the nodes the previous robots occupied.  If it throws, reset again
+  /// before any other use.
+  void reset_robots(std::span<const Robot> robots);
+
   const Topology& topology() const { return grid_; }
   /// Historical spelling; the world has been a Topology since the topology
   /// subsystem landed (plain grids are one family of it).

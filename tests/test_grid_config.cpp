@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/core/configuration.hpp"
 #include "src/topo/topology.hpp"
@@ -147,6 +148,48 @@ TEST(Configuration, OccupancyTracksMutationsAndStaysConsistentOnOverflow) {
   // Recoloring to the current color is a no-op even on a full stack.
   EXPECT_NO_THROW(c.set_color(0, Color::G));
   EXPECT_EQ(c.multiset_at({0, 0}).count(Color::G), kMaxRobotsPerNode);
+}
+
+TEST(Configuration, ResetRobotsMatchesFreshConstruction) {
+  // The exhaustive searches reload one configuration per state; each reload
+  // must leave exactly what constructing afresh would, including wrapped
+  // placements folded to canonical nodes on a torus.
+  for (const std::string& spec : {std::string("grid"), std::string("torus")}) {
+    const Topology topo = make_topology(spec, 3, 4);
+    Configuration c(topo, {Robot{{0, 0}, Color::G}, Robot{{0, 0}, Color::W}});
+    c.set_journal(true);
+    c.set_color(0, Color::B);
+    const std::vector<std::vector<Robot>> placements = {
+        {Robot{{1, 2}, Color::W}, Robot{{2, 3}, Color::G}, Robot{{1, 2}, Color::B}},
+        {Robot{{0, 0}, Color::G}},
+        {Robot{{2, 1}, Color::R}, Robot{{0, 3}, Color::W}},
+    };
+    for (const std::vector<Robot>& robots : placements) {
+      c.reset_robots(robots);
+      const Configuration fresh(topo, robots);
+      EXPECT_EQ(c.num_robots(), fresh.num_robots()) << spec;
+      for (int i = 0; i < c.num_robots(); ++i) EXPECT_EQ(c.robot(i), fresh.robot(i)) << spec;
+      for (int i = 0; i < topo.num_nodes(); ++i) {
+        EXPECT_EQ(c.multiset_at(topo.node(i)), fresh.multiset_at(topo.node(i))) << spec;
+      }
+      EXPECT_EQ(c.to_string(), fresh.to_string()) << spec;
+      EXPECT_TRUE(c.journal().empty()) << spec;
+    }
+  }
+}
+
+TEST(Configuration, ResetRobotsRejectsOffGridPlacementUnchanged) {
+  const Grid g(2, 3);
+  Configuration c(g, {Robot{{0, 1}, Color::W}});
+  EXPECT_THROW(c.reset_robots(std::vector<Robot>{Robot{{0, 0}, Color::G}, Robot{{5, 5}, Color::G}}),
+               std::invalid_argument);
+  EXPECT_EQ(c.to_string(), "{(0,1):{W}}");
+  // Overflowing a node throws too; a further reset restores a usable state.
+  const std::vector<Robot> stack(kMaxRobotsPerNode + 1, Robot{{1, 1}, Color::G});
+  EXPECT_THROW(c.reset_robots(stack), std::overflow_error);
+  c.reset_robots(std::vector<Robot>{Robot{{1, 2}, Color::B}});
+  EXPECT_EQ(c.to_string(), "{(1,2):{B}}");
+  EXPECT_TRUE(c.multiset_at({1, 1}).empty());
 }
 
 TEST(Configuration, StackedRobotsRender) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/algorithms/algorithms.hpp"
+#include "src/algorithms/registry.hpp"
 
 namespace lumi {
 namespace {
@@ -67,6 +68,36 @@ TEST(Impossibility, InitialOccupationIsNotDefendable) {
   const AdversaryResult r = check_protected_node(alg, Grid(4, 4), {0, 0});
   EXPECT_FALSE(r.adversary_wins);
   EXPECT_NE(r.summary.find("initial configuration"), std::string::npos);
+}
+
+TEST(Impossibility, PinnedAdversaryStates) {
+  // Exact sizes of the game graphs summed over every target node; both
+  // algorithms survive, so every node's graph is explored.
+  const AdversaryResult a = find_ssync_adversary(algorithms::entry("4.3.1").make(), Grid(3, 4));
+  EXPECT_FALSE(a.adversary_wins) << a.summary;
+  EXPECT_EQ(a.states, 85);
+  const AdversaryResult b = find_ssync_adversary(algorithms::entry("4.3.3").make(), Grid(4, 4));
+  EXPECT_FALSE(b.adversary_wins) << b.summary;
+  EXPECT_EQ(b.states, 183);
+}
+
+TEST(Impossibility, StatesAreDistinctBeyond256Nodes) {
+  // Node indices of 256 and more must not alias smaller ones in the state
+  // key (a one-byte key merged node 256 with node 0 here: 768 states).
+  const AdversaryResult r = check_protected_node(algorithms::algorithm3(), Grid(20, 20), {19, 19});
+  EXPECT_TRUE(r.adversary_wins) << r.summary;
+  EXPECT_TRUE(r.via_terminal);
+  EXPECT_EQ(r.states, 1136);
+  // Below 256 nodes the count is unchanged.
+  EXPECT_EQ(check_protected_node(algorithms::algorithm3(), Grid(16, 16), {15, 15}).states, 716);
+}
+
+TEST(Impossibility, RejectsGridsBeyondTheKeyWidth) {
+  // 14 bits of node index per robot: at most 16384 nodes.
+  EXPECT_THROW(check_protected_node(algorithms::algorithm3(), Grid(129, 128), {5, 5}),
+               std::invalid_argument);
+  EXPECT_THROW(find_ssync_adversary(algorithms::algorithm3(), Grid(129, 128)),
+               std::invalid_argument);
 }
 
 }  // namespace
