@@ -42,7 +42,8 @@ namespace {
 /// run_cell_guarded — per-job algorithm construction, topology parse,
 /// compile-cache lookup and heap-backed run tables — with the per-cell
 /// warm-start slots the campaign layer has always had.  Accumulation is
-/// identical to run_campaign's, so the summary must match the batched one.
+/// the same exact integer sums run_campaign adds, so the summary must match
+/// the batched one.
 lumi::campaign::CampaignSummary run_per_job(const lumi::campaign::Expansion& expansion) {
   using namespace lumi::campaign;
   const auto start = std::chrono::steady_clock::now();
@@ -387,7 +388,7 @@ int main(int argc, char** argv) {
     std::vector<MicroPass> micro_passes(9);
     for (MicroPass& p : micro_passes) {
       p.per_job = run_per_job(micro_expansion);
-      p.batched = run_campaign(micro_expansion, 1, 0);
+      p.batched = run_campaign(micro_expansion, 1);
       p.ratio = p.per_job.wall_seconds / p.batched.wall_seconds;
     }
     std::sort(micro_passes.begin(), micro_passes.end(),
@@ -448,13 +449,13 @@ int main(int argc, char** argv) {
     ratios.reserve(9);
     for (int pass = 0; pass < 9; ++pass) {
       registry.set_enabled(false);
-      const CampaignSummary off = run_campaign(micro_expansion, 1, 0);
+      const CampaignSummary off = run_campaign(micro_expansion, 1);
       registry.reset();
       registry.set_enabled(true);
       {
         lumi::obs::TraceWriter trace("bench_campaign.trace.json");  // never flushed
         lumi::obs::TraceWriter::install(&trace);
-        const CampaignSummary on = run_campaign(micro_expansion, 1, 0);
+        const CampaignSummary on = run_campaign(micro_expansion, 1);
         lumi::obs::TraceWriter::install(nullptr);
         telemetry_summaries_match = telemetry_summaries_match && same_summary(off, on);
         ratios.push_back(off.wall_seconds / on.wall_seconds);
@@ -485,13 +486,15 @@ int main(int argc, char** argv) {
   // Same paired-median methodology as the gates above.
   double recorder_ratio = 0.0;
   bool recorder_summaries_match = true;
-  const AnomalyCapture bench_capture{"bench_campaign.recordings", 8};
+  OrchestratorOptions armed_opts;
+  armed_opts.threads = 1;
+  armed_opts.record_anomalies = {"bench_campaign.recordings", 8};
   for (int attempt = 0; attempt < 3 && recorder_ratio < 0.97; ++attempt) {
     std::vector<double> ratios;
     ratios.reserve(9);
     for (int pass = 0; pass < 9; ++pass) {
-      const CampaignSummary off = run_campaign(micro_expansion, 1, 0);
-      const CampaignSummary armed = run_campaign(micro_expansion, 1, 0, &bench_capture);
+      const CampaignSummary off = run_campaign(micro_expansion, 1);
+      const CampaignSummary armed = run_orchestrated(micro_expansion, armed_opts).summary;
       recorder_summaries_match = recorder_summaries_match && same_summary(off, armed);
       ratios.push_back(off.wall_seconds / armed.wall_seconds);
     }

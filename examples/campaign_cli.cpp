@@ -10,12 +10,18 @@
 //   $ ./campaign_cli --shard=0/3 --checkpoint=s0.ckpt   # then merge: campaign_merge
 //   $ ./campaign_cli --checkpoint=run.ckpt              # re-run resumes where it died
 //   $ ./campaign_cli --checkpoint=run.ckpt --adaptive   # extra seeds for shaky cells
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,7 +45,7 @@ struct Args {
   std::string topologies = "grid";
   campaign::IntRange rows{4, 10, 2};
   campaign::IntRange cols{4, 10, 2};
-  int seeds = 2;
+  unsigned seeds = 2;
   unsigned threads = 0;
   std::size_t batch = 0;  ///< jobs per worker task: 0 = auto, 1 = per-job
   long max_steps = 1'000'000;
@@ -73,6 +79,32 @@ bool parse_range(const std::string& text, campaign::IntRange& range) {
     return false;
   }
   range = *parsed;
+  return true;
+}
+
+/// Strict whole-string integer in [min, max] (campaign::parse_integer): no
+/// trailing garbage, no sign where a count is expected, no overflow.
+template <typename T>
+bool parse_int(const char* text, T& out, std::int64_t min = 0,
+               std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
+  const std::int64_t hi =
+      std::min<std::uint64_t>(static_cast<std::uint64_t>(max), std::numeric_limits<T>::max());
+  const std::optional<std::int64_t> v = campaign::parse_integer(text, min, hi);
+  if (v) out = static_cast<T>(*v);
+  return v.has_value();
+}
+
+/// Strict whole-string decimal: finite, at least `min`, nothing after the
+/// number (strtod alone accepts "1s" as 1 and "inf" as infinity).
+bool parse_real(const char* text, double& out, double min) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) || v < min ||
+      std::isspace(static_cast<unsigned char>(*text))) {
+    return false;
+  }
+  out = v;
   return true;
 }
 
@@ -115,19 +147,16 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (const char* v = value("--cols=")) {
       if (!parse_range(v, args.cols)) return false;
     } else if (const char* v = value("--seeds=")) {
-      args.seeds = std::atoi(v);
-      if (args.seeds < 1) return bad_value();
+      // Bounded below UINT_MAX so the seed loop 1..N cannot wrap.
+      if (!parse_int(v, args.seeds, 1, std::numeric_limits<int>::max())) return bad_value();
     } else if (const char* v = value("--threads=")) {
-      args.threads = static_cast<unsigned>(std::atoi(v));
+      if (!parse_int(v, args.threads)) return bad_value();
     } else if (const char* v = value("--batch=")) {
       // 0 = automatic per-cell sizing; 1 = the per-job reference path.
       // Reports are byte-identical at any value — this is a perf knob only.
-      const long b = std::atol(v);
-      if (b < 0) return bad_value();
-      args.batch = static_cast<std::size_t>(b);
+      if (!parse_int(v, args.batch)) return bad_value();
     } else if (const char* v = value("--max-steps=")) {
-      args.max_steps = std::atol(v);
-      if (args.max_steps < 1) return bad_value();
+      if (!parse_int(v, args.max_steps, 1)) return bad_value();
     } else if (const char* v = value("--csv=")) {
       args.csv_path = v;
     } else if (const char* v = value("--json=")) {
@@ -141,10 +170,10 @@ bool parse_args(int argc, char** argv, Args& args) {
       const std::string spec = v;
       const std::size_t comma = spec.rfind(',');
       if (comma != std::string::npos) {
-        const long k = std::atol(spec.c_str() + comma + 1);
-        if (k < 1) return bad_value();
+        if (!parse_int(spec.c_str() + comma + 1, args.record_anomalies.limit, 1)) {
+          return bad_value();
+        }
         args.record_anomalies.dir = spec.substr(0, comma);
-        args.record_anomalies.limit = static_cast<std::size_t>(k);
       } else {
         args.record_anomalies.dir = spec;
       }
@@ -156,22 +185,22 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (const char* v = value("--checkpoint=")) {
       args.checkpoint_path = v;
     } else if (const char* v = value("--flush-interval=")) {
-      args.flush_interval = std::atof(v);
-      if (args.flush_interval <= 0) return bad_value();
+      if (!parse_real(v, args.flush_interval, 0.0) || args.flush_interval == 0.0) {
+        return bad_value();
+      }
     } else if (const char* v = value("--max-jobs=")) {
-      args.max_jobs = static_cast<std::size_t>(std::atol(v));
+      if (!parse_int(v, args.max_jobs)) return bad_value();
     } else if (arg == "--adaptive") {
       args.adaptive.enabled = true;
     } else if (const char* v = value("--adaptive-max-extra=")) {
       args.adaptive.enabled = true;
-      args.adaptive.max_extra_seeds = static_cast<unsigned>(std::atoi(v));
+      if (!parse_int(v, args.adaptive.max_extra_seeds)) return bad_value();
     } else if (const char* v = value("--adaptive-round=")) {
       args.adaptive.enabled = true;
-      args.adaptive.seeds_per_round = static_cast<unsigned>(std::atoi(v));
-      if (args.adaptive.seeds_per_round == 0) return bad_value();
+      if (!parse_int(v, args.adaptive.seeds_per_round, 1)) return bad_value();
     } else if (const char* v = value("--adaptive-variance=")) {
       args.adaptive.enabled = true;
-      args.adaptive.instants_variance_threshold = std::atof(v);
+      if (!parse_real(v, args.adaptive.instants_variance_threshold, 0.0)) return bad_value();
     } else if (arg == "--progress") {
       args.progress = true;
     } else if (arg == "--quiet") {
@@ -228,7 +257,7 @@ bool build_matrix(const Args& args, campaign::Matrix& matrix) {
   matrix.rows = args.rows;
   matrix.cols = args.cols;
   matrix.seeds.clear();
-  for (int s = 1; s <= args.seeds; ++s) matrix.seeds.push_back(static_cast<unsigned>(s));
+  for (unsigned s = 1; s <= args.seeds; ++s) matrix.seeds.push_back(s);
   matrix.options.max_steps = args.max_steps;
   return true;
 }
@@ -333,44 +362,38 @@ int main(int argc, char** argv) {
     obs::TraceWriter::install(&*trace);
   }
 
-  const bool orchestrated = args.shard.count > 1 || !args.checkpoint_path.empty() ||
-                            args.adaptive.enabled || args.max_jobs != 0;
-  campaign::CampaignSummary summary;
-  bool complete = true;
   obs::ProgressMeter::Options meter_opts;
   meter_opts.total_jobs = expansion.jobs.size();
   meter_opts.total_cells = expansion.cells.size();
   meter_opts.force = args.progress;
   std::optional<obs::ProgressMeter> meter;
   if (meter_wanted) meter.emplace(meter_opts);
-  if (orchestrated) {
-    campaign::OrchestratorOptions opts;
-    opts.threads = args.threads;
-    opts.checkpoint_path = args.checkpoint_path;
-    opts.flush_seconds = args.flush_interval;
-    opts.max_jobs = args.max_jobs;
-    opts.batch = args.batch;
-    opts.adaptive = args.adaptive;
-    opts.record_anomalies = args.record_anomalies;
-    campaign::OrchestratorReport report;
-    try {
-      report = campaign::run_orchestrated(expansion, opts);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "orchestration failed: %s\n", e.what());
-      return 2;
-    }
+  campaign::OrchestratorOptions opts;
+  opts.threads = args.threads;
+  opts.checkpoint_path = args.checkpoint_path;
+  opts.flush_seconds = args.flush_interval;
+  opts.max_jobs = args.max_jobs;
+  opts.batch = args.batch;
+  opts.adaptive = args.adaptive;
+  opts.record_anomalies = args.record_anomalies;
+  campaign::OrchestratorReport report;
+  try {
+    report = campaign::run_orchestrated(expansion, opts);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "orchestration failed: %s\n", e.what());
+    return 2;
+  }
+  // The status line only speaks when a checkpoint, cap, escalation or
+  // shard was asked for; a plain sweep prints just the table and totals.
+  if (args.shard.count > 1 || !args.checkpoint_path.empty() || args.adaptive.enabled ||
+      args.max_jobs != 0) {
     std::printf("orchestrator: %zu skipped (checkpoint), %zu executed, "
                 "%zu escalation jobs over %u rounds%s\n",
                 report.jobs_skipped, report.jobs_executed, report.escalation_jobs,
                 report.escalation_rounds,
                 report.complete ? "" : " — INCOMPLETE (max-jobs hit), resume with --checkpoint");
-    summary = std::move(report.summary);
-    complete = report.complete;
-  } else {
-    summary = campaign::run_campaign(
-        expansion, args.threads, args.batch,
-        args.record_anomalies.dir.empty() ? nullptr : &args.record_anomalies);
   }
+  const campaign::CampaignSummary& summary = report.summary;
   meter.reset();  // joins the sampler and clears the status line
 
   if (!args.quiet) {
@@ -420,7 +443,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const bool all_ok = complete && summary.total.terminated == summary.total.runs &&
+  const bool all_ok = report.complete && summary.total.terminated == summary.total.runs &&
                       summary.total.explored_all == summary.total.runs &&
                       summary.total.failures == 0;
   return all_ok ? 0 : 1;

@@ -1,18 +1,14 @@
 #include "src/campaign/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <exception>
 #include <limits>
 #include <memory>
 #include <stdexcept>
-#include <utility>
 
 #include "src/algorithms/registry.hpp"
 #include "src/analysis/rule_analysis.hpp"
-#include "src/campaign/thread_pool.hpp"
 #include "src/dsl/dsl.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/recorder.hpp"
@@ -85,22 +81,37 @@ std::vector<int> IntRange::values() const {
   return out;
 }
 
+std::optional<std::int64_t> parse_integer(const std::string& text, std::int64_t min,
+                                          std::int64_t max) {
+  const bool negative = !text.empty() && text[0] == '-';
+  if (negative && min >= 0) return std::nullopt;
+  std::size_t i = negative ? 1 : 0;
+  if (i == text.size()) return std::nullopt;
+  // The magnitude is bounded before every multiply, so no digit string can
+  // overflow the accumulator whatever its length.
+  const std::uint64_t limit = negative ? 0 - static_cast<std::uint64_t>(min)
+                                       : static_cast<std::uint64_t>(std::max<std::int64_t>(max, 0));
+  std::uint64_t v = 0;
+  for (; i < text.size(); ++i) {
+    if (text[i] < '0' || text[i] > '9') return std::nullopt;
+    const auto digit = static_cast<std::uint64_t>(text[i] - '0');
+    if (digit > limit || v > (limit - digit) / 10) return std::nullopt;
+    v = v * 10 + digit;
+  }
+  // -(v - 1) - 1 reaches INT64_MIN without negating an out-of-range value.
+  const std::int64_t value = !negative ? static_cast<std::int64_t>(v)
+                             : v == 0  ? 0
+                                       : -static_cast<std::int64_t>(v - 1) - 1;
+  if (value < min || value > max) return std::nullopt;
+  return value;
+}
+
 std::optional<IntRange> range_from_string(const std::string& text) {
-  // Strict base-10 integer: no sign-only/empty/trailing-garbage inputs.
-  // 64-bit accumulator: the overflow check must hold even where long is
-  // 32 bits (LLP64).
   const auto parse_int = [](const std::string& s, int& out) {
-    if (s.empty()) return false;
-    std::int64_t v = 0;
-    std::size_t i = s[0] == '-' ? 1 : 0;
-    if (i == s.size()) return false;
-    for (; i < s.size(); ++i) {
-      if (s[i] < '0' || s[i] > '9') return false;
-      v = v * 10 + (s[i] - '0');
-      if (v > std::numeric_limits<int>::max()) return false;
-    }
-    out = static_cast<int>(s[0] == '-' ? -v : v);
-    return true;
+    constexpr std::int64_t kMax = std::numeric_limits<int>::max();
+    const std::optional<std::int64_t> v = parse_integer(s, -kMax, kMax);
+    if (v) out = static_cast<int>(*v);
+    return v.has_value();
   };
   IntRange out{0, 0, 1};
   const std::size_t dots = text.find("..");
@@ -128,6 +139,14 @@ std::string to_string(const Cell& cell) {
 }
 
 Expansion expand(const Matrix& matrix) {
+  // A checkpoint records each (cell, seed) job once, so a twin seed would
+  // either run twice (and write a checkpoint its own loader rejects) or be
+  // skipped as already done, depending on timing.
+  std::vector<unsigned> seeds = matrix.seeds;
+  std::sort(seeds.begin(), seeds.end());
+  if (const auto twin = std::adjacent_find(seeds.begin(), seeds.end()); twin != seeds.end()) {
+    throw std::invalid_argument("expand: seed " + std::to_string(*twin) + " is repeated");
+  }
   Expansion out;
   out.options = matrix.options;
   const std::vector<int> rows = matrix.rows.values();
@@ -387,109 +406,6 @@ void run_cell_batch(const Cell& cell, std::span<const unsigned> seeds,
     }
   }
   if (arena != nullptr) obs_arena_hw.record_max(static_cast<long long>(arena->high_water()));
-}
-
-CampaignSummary run_campaign(const Expansion& expansion, unsigned threads, std::size_t batch,
-                             const AnomalyCapture* capture) {
-  // wall_seconds is an execution-environment diagnostic: it never reaches
-  // checkpoints or the merged JSON report.  lumi-lint: allow(wall-clock)
-  const auto start = std::chrono::steady_clock::now();
-  ThreadPool pool(threads);
-
-  // One accumulator per worker: the hot path writes thread-private state;
-  // the merge at join is order-independent, so the summary is identical for
-  // any worker count.
-  std::vector<CampaignAccumulator> per_worker(pool.size(),
-                                              CampaignAccumulator(expansion.cells.size()));
-  // One run-scratch arena per worker: each batch item's configuration and
-  // tracker tables are pointer bumps into it, rewound between items.
-  std::vector<std::unique_ptr<Arena>> arenas;
-  arenas.reserve(pool.size());
-  for (unsigned w = 0; w < pool.size(); ++w) arenas.push_back(std::make_unique<Arena>());
-  // One warm-start slot per cell: the first job of a cell publishes its
-  // initial verdict table, the cell's other seeds skip the initial full
-  // compute (pure perf — summaries are identical either way).
-  std::vector<WarmStartSlot> warm(expansion.cells.size());
-  // Telemetry-only countdown backing the campaign.cells_done counter for the
-  // live progress meter; results never read it.
-  static obs::Counter& obs_cells_done = obs::Registry::global().counter("campaign.cells_done");
-  auto remaining = std::make_unique<std::atomic<long long>[]>(expansion.cells.size());
-  for (std::size_t c = 0; c < expansion.cells.size(); ++c)
-    remaining[c].store(0, std::memory_order_relaxed);  // lumi-lint: allow(relaxed-atomic)
-  for (const Job& job : expansion.jobs)
-    // lumi-lint: allow(relaxed-atomic) — telemetry countdown, pre-pool setup
-    remaining[job.cell].fetch_add(1, std::memory_order_relaxed);
-  // Anomaly-capture claim counter: workers race fetch_add for the K capture
-  // slots.  Telemetry-side only — which jobs win affects which .lumirec
-  // files appear, never the summary (each file's content is deterministic).
-  // lumi-lint: allow(relaxed-atomic)
-  std::atomic<std::size_t> capture_claims{0};
-  const bool capturing = capture != nullptr && !capture->dir.empty();
-  // Consecutive same-cell jobs are grouped into one pool task of at most
-  // `batch` items (0 = per-cell automatic) so tiny runs amortize their
-  // setup; the accumulator adds are exact commutative integer updates, so
-  // the summary is byte-identical at any grouping.
-  std::size_t i = 0;
-  while (i < expansion.jobs.size()) {
-    const std::size_t cell = expansion.jobs[i].cell;
-    const std::size_t cap = batch != 0 ? batch : auto_batch_size(expansion.cells[cell]);
-    std::vector<unsigned> seeds;
-    while (i < expansion.jobs.size() && expansion.jobs[i].cell == cell && seeds.size() < cap) {
-      seeds.push_back(expansion.jobs[i].seed);
-      ++i;
-    }
-    pool.submit([&expansion, &per_worker, &pool, &warm, &arenas, &remaining, &capture_claims,
-                 capture, capturing, cell, seeds = std::move(seeds)] {
-      const std::size_t w = static_cast<std::size_t>(pool.worker_index());
-      run_cell_batch(expansion.cells[cell], seeds, expansion.options, &warm[cell],
-                     arenas[w].get(),
-                     [&expansion, &per_worker, &remaining, &capture_claims, &seeds, capture,
-                      capturing, w, cell](std::size_t item, const RunResult& r) {
-                       per_worker[w].add(cell, r);
-                       // Anomalous job: claim a capture slot and re-run it
-                       // with a recorder.  Entirely outside the accumulator
-                       // path — the summary bytes cannot see it.
-                       if (capturing && !r.failure.empty() &&
-                           // lumi-lint: allow(relaxed-atomic)
-                           capture_claims.fetch_add(1, std::memory_order_relaxed) <
-                               capture->limit) {
-                         capture_anomaly(expansion.cells[cell], seeds[item], expansion.options,
-                                         *capture);
-                       }
-                       // Cell-completion tick for the progress meter only.
-                       // lumi-lint: allow(relaxed-atomic)
-                       if (remaining[cell].fetch_sub(1, std::memory_order_relaxed) == 1) {
-                         obs_cells_done.add(1);
-                       }
-                     });
-    });
-  }
-  pool.wait_idle();
-
-  CampaignAccumulator merged(expansion.cells.size());
-  for (const CampaignAccumulator& acc : per_worker) merged.merge(acc);
-
-  CampaignSummary summary;
-  summary.jobs = expansion.jobs.size();
-  summary.threads = pool.size();
-  summary.cells.reserve(expansion.cells.size());
-  for (std::size_t i = 0; i < expansion.cells.size(); ++i) {
-    summary.cells.push_back({expansion.cells[i], merged.cells()[i]});
-    summary.total.merge(merged.cells()[i]);
-  }
-  // lumi-lint: allow(wall-clock) — same diagnostic as the matching read above
-  summary.wall_seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-                             .count();
-  // Execution-environment diagnostics promoted into the metrics snapshot:
-  // the JSON *report* stays env-free, metrics are the separate channel.
-  obs::Registry::global().gauge("campaign.wall_ms").set(
-      static_cast<long long>(summary.wall_seconds * 1000.0));
-  obs::Registry::global().gauge("campaign.threads").set(summary.threads);
-  return summary;
-}
-
-CampaignSummary run_campaign(const Matrix& matrix, unsigned threads, std::size_t batch) {
-  return run_campaign(expand(matrix), threads, batch);
 }
 
 std::vector<std::string> paper_sections() {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <span>
@@ -61,6 +62,14 @@ struct IntRange {
   std::vector<int> values() const;
 };
 
+/// Strict base-10 integer parse of a whole string: an optional leading '-'
+/// then digits only — no '+', whitespace, empty digit string or trailing
+/// garbage.  std::nullopt when malformed or outside [min, max]; overflow is
+/// detected, never wrapped.  The one integer parser behind the range grammar
+/// and the campaign CLI's numeric flags.
+std::optional<std::int64_t> parse_integer(const std::string& text, std::int64_t min,
+                                          std::int64_t max);
+
 /// Parses the campaign CLI range grammar — "8", "4..64" or "4..64:12" —
 /// into an inclusive stepped range.  std::nullopt (with nothing written
 /// anywhere) on malformed text, a non-positive lower bound, or a
@@ -80,7 +89,8 @@ struct Matrix {
   std::vector<std::string> topologies = {"grid"};
   std::vector<SchedKind> schedulers;
   /// Seeds for randomized schedulers; deterministic ones always contribute
-  /// exactly one job per cell.
+  /// exactly one job per cell.  Must be distinct: a checkpoint records each
+  /// (cell, seed) job once, so expand throws on a repeated seed.
   std::vector<unsigned> seeds = {1};
   RunOptions options;
   /// Skip (rather than fail) combinations the model forbids: grids below the
@@ -117,10 +127,11 @@ struct Expansion {
 };
 
 /// Expands the matrix in deterministic order (section-major, then rows, cols,
-/// scheduler, seed).  Throws std::out_of_range on unknown sections and
-/// std::invalid_argument (carrying the analyzer's findings) when a section's
-/// rule table fails the semantic analyzer — ill-formed algorithms are
-/// rejected before a single job runs.
+/// scheduler, seed).  Throws std::out_of_range on unknown sections,
+/// std::invalid_argument on a repeated seed, and std::invalid_argument
+/// (carrying the analyzer's findings) when a section's rule table fails the
+/// semantic analyzer — ill-formed algorithms are rejected before a single
+/// job runs.
 Expansion expand(const Matrix& matrix);
 
 /// Runs `alg` on `topo` under a freshly constructed scheduler of kind `kind`
@@ -202,17 +213,14 @@ struct CampaignSummary {
   double wall_seconds = 0.0;
 };
 
-/// Runs every job of the expansion on `threads` workers (0 = all hardware
-/// threads).  Exceptions escaping a job are recorded as that run's failure.
-/// `batch` is the number of consecutive same-cell jobs one worker task
-/// executes (0 = automatic per cell via auto_batch_size, 1 = the per-job
-/// reference path).  Summaries are byte-identical for any batch size and
-/// any worker count (tests/test_batching.cpp pins this).  `capture`, when
-/// non-null with a nonempty dir, records the first anomalous jobs (see
-/// AnomalyCapture) without affecting the summary.
-CampaignSummary run_campaign(const Expansion& expansion, unsigned threads = 0,
-                             std::size_t batch = 0, const AnomalyCapture* capture = nullptr);
-CampaignSummary run_campaign(const Matrix& matrix, unsigned threads = 0, std::size_t batch = 0);
+/// The plain campaign: run_orchestrated (orchestrate.hpp) on `threads`
+/// workers (0 = all hardware threads) with no checkpoint, no job cap,
+/// automatic batching and no anomaly capture — there is one dispatcher, and
+/// this is it with every option at its default.  Exceptions escaping a job
+/// are recorded as that run's failure.  Summaries are byte-identical for any
+/// worker count (tests/test_batching.cpp pins this).
+CampaignSummary run_campaign(const Expansion& expansion, unsigned threads = 0);
+CampaignSummary run_campaign(const Matrix& matrix, unsigned threads = 0);
 
 /// Sections of the eleven directly implemented paper algorithms (Algorithms
 /// 1-11), in Table-1 order.

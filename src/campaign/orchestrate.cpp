@@ -204,8 +204,10 @@ OrchestratorReport run_orchestrated(const Expansion& expansion,
     std::vector<std::unique_ptr<Arena>> arenas;
     arenas.reserve(pool.size());
     for (unsigned w = 0; w < pool.size(); ++w) arenas.push_back(std::make_unique<Arena>());
-    // Anomaly-capture claim counter (see run_campaign): telemetry-side only.
-    // lumi-lint: allow(relaxed-atomic)
+    // Anomaly-capture claim counter: workers race fetch_add for the K
+    // capture slots.  Telemetry-side only — which jobs win affects which
+    // .lumirec files appear, never the checkpoint (each file's content is
+    // deterministic).  lumi-lint: allow(relaxed-atomic)
     std::atomic<std::size_t> capture_claims{0};
 
     // Submits every job not already covered by the checkpoint, honoring the
@@ -223,18 +225,18 @@ OrchestratorReport run_orchestrated(const Expansion& expansion,
                                     ? options.batch
                                     : auto_batch_size(expansion.cells[cell_index]);
         std::vector<unsigned> seeds;
+        // One lock per batch, not per job: workers contend for it on every
+        // result.
+        std::unique_lock lock(state_mu);
         while (i < jobs.size() && jobs[i].cell == cell_index && seeds.size() < cap) {
           const Job job = jobs[i];
-          {
-            std::lock_guard lock(state_mu);
-            if (seed_done(ck.cells[job.cell], job.seed)) {
-              if (base_pass) {
-                ++report.jobs_skipped;
-                obs_resume_skips.add(1);
-              }
-              ++i;
-              continue;
+          if (seed_done(ck.cells[job.cell], job.seed)) {
+            if (base_pass) {
+              ++report.jobs_skipped;
+              obs_resume_skips.add(1);
             }
+            ++i;
+            continue;
           }
           if (options.max_jobs != 0 && report.jobs_executed >= options.max_jobs) {
             capped = true;
@@ -248,6 +250,7 @@ OrchestratorReport run_orchestrated(const Expansion& expansion,
           seeds.push_back(job.seed);
           ++i;
         }
+        lock.unlock();
         if (seeds.empty()) continue;
         pool.submit([&expansion, &ck, &state_mu, &version, &warm, &arenas, &pool, &base,
                      &obs_cells_done, &options, &capture_claims, cell_index,
@@ -314,13 +317,23 @@ OrchestratorReport run_orchestrated(const Expansion& expansion,
   report.summary.wall_seconds =  // diagnostic, as above
       // lumi-lint: allow(wall-clock)
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  // Same env-diagnostic promotion as run_campaign: metrics snapshot only,
-  // never the JSON report or the checkpoint.
+  // Execution-environment diagnostics promoted into the metrics snapshot
+  // only, never the JSON report or the checkpoint.
   obs_reg.gauge("campaign.wall_ms")
       .set(static_cast<long long>(report.summary.wall_seconds * 1000.0));
   obs_reg.gauge("campaign.threads").set(report.summary.threads);
   report.checkpoint = std::move(ck);
   return report;
+}
+
+CampaignSummary run_campaign(const Expansion& expansion, unsigned threads) {
+  OrchestratorOptions options;
+  options.threads = threads;
+  return run_orchestrated(expansion, options).summary;
+}
+
+CampaignSummary run_campaign(const Matrix& matrix, unsigned threads) {
+  return run_campaign(expand(matrix), threads);
 }
 
 }  // namespace lumi::campaign

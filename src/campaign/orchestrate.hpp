@@ -1,10 +1,13 @@
 // Campaign orchestration: resumable, checkpointed, adaptively escalating
-// execution of an expansion (or a shard of one).
+// execution of an expansion (or a shard of one).  This is the one campaign
+// dispatcher; run_campaign (campaign.hpp) is it with every option at its
+// default — no checkpoint file, no job cap, no escalation.
 //
 // Results funnel into a Checkpoint under one lock (job execution dominates,
-// so contention is negligible); an aggregation thread periodically snapshots
-// it and writes the file via atomic rename, so a campaign killed at any
-// instant resumes from its last flush without re-running completed jobs.
+// so contention is negligible); when a checkpoint path is set, an
+// aggregation thread periodically snapshots it and writes the file via
+// atomic rename, so a campaign killed at any instant resumes from its last
+// flush without re-running completed jobs.
 // Because every accumulator operation is an exact commutative integer
 // update, the final state is identical no matter how jobs interleave, shard
 // or resume.

@@ -1,21 +1,19 @@
 #include "src/campaign/shard.hpp"
 
-#include <cstdlib>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace lumi::campaign {
 
 std::optional<ShardSpec> shard_from_string(const std::string& text) {
   const std::size_t slash = text.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= text.size()) return std::nullopt;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (i != slash && (text[i] < '0' || text[i] > '9')) return std::nullopt;
-  }
-  ShardSpec spec;
-  spec.index = static_cast<unsigned>(std::atol(text.substr(0, slash).c_str()));
-  spec.count = static_cast<unsigned>(std::atol(text.substr(slash + 1).c_str()));
-  if (spec.count == 0 || spec.index >= spec.count) return std::nullopt;
-  return spec;
+  if (slash == std::string::npos) return std::nullopt;
+  constexpr std::int64_t kMax = std::numeric_limits<unsigned>::max();
+  const std::optional<std::int64_t> index = parse_integer(text.substr(0, slash), 0, kMax);
+  const std::optional<std::int64_t> count = parse_integer(text.substr(slash + 1), 1, kMax);
+  if (!index || !count || *index >= *count) return std::nullopt;
+  return ShardSpec{static_cast<unsigned>(*index), static_cast<unsigned>(*count)};
 }
 
 std::string to_string(const ShardSpec& spec) {

@@ -1,8 +1,8 @@
 // Batched micro-runs: grouping consecutive same-cell jobs into one worker
 // task (with hoisted setup and arena-backed run scratch) is a pure perf
 // change — CSV and JSON reports must be byte-identical across batch sizes
-// {1, 4, 16} x thread counts, through the orchestrated path, and through a
-// kill-and-resume whose legs use different batch sizes.
+// {0, 1, 4, 16} x thread counts {1, 2, 4}, with a checkpoint file in play,
+// and through a kill-and-resume whose legs use different batch sizes.
 #include "src/campaign/campaign.hpp"
 
 #include <gtest/gtest.h>
@@ -49,38 +49,57 @@ TEST(Batching, AutoBatchSizeScalesWithCellArea) {
 }
 
 TEST(Batching, ReportsAreByteIdenticalAcrossBatchSizesAndThreads) {
+  // One table over the one dispatcher: every (threads, batch) pair must run
+  // every job and render the bytes of the single-threaded per-job reference.
   const Expansion expansion = expand(micro_matrix());
   ASSERT_GT(expansion.jobs.size(), 32u);
-  const CampaignSummary reference = run_campaign(expansion, 1, 1);
-  const std::string ref_csv = campaign_csv(reference);
-  const std::string ref_json = campaign_json(reference);
-  for (const std::size_t batch : {std::size_t{0}, std::size_t{4}, std::size_t{16}}) {
-    for (const unsigned threads : {1u, 2u, 4u}) {
-      const CampaignSummary summary = run_campaign(expansion, threads, batch);
-      EXPECT_EQ(campaign_csv(summary), ref_csv)
+  OrchestratorOptions per_job;
+  per_job.threads = 1;
+  per_job.batch = 1;
+  const OrchestratorReport reference = run_orchestrated(expansion, per_job);
+  EXPECT_EQ(reference.jobs_executed, expansion.jobs.size());
+  const std::string ref_csv = campaign_csv(reference.summary);
+  const std::string ref_json = campaign_json(reference.summary);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    for (const std::size_t batch :
+         {std::size_t{0}, std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
+      OrchestratorOptions opts;
+      opts.threads = threads;
+      opts.batch = batch;
+      const OrchestratorReport report = run_orchestrated(expansion, opts);
+      EXPECT_EQ(report.jobs_executed, reference.jobs_executed)
           << "batch=" << batch << " threads=" << threads;
-      EXPECT_EQ(campaign_json(summary), ref_json)
+      EXPECT_EQ(campaign_csv(report.summary), ref_csv)
+          << "batch=" << batch << " threads=" << threads;
+      EXPECT_EQ(campaign_json(report.summary), ref_json)
           << "batch=" << batch << " threads=" << threads;
     }
   }
 }
 
 TEST(Batching, OrchestratedReportsMatchAtAnyBatchSize) {
+  // The same identity with a checkpoint file in play: persisting per-job
+  // records while batching must change neither the job count nor the bytes.
   const Expansion expansion = expand(micro_matrix());
   OrchestratorOptions per_job;
   per_job.threads = 2;
   per_job.batch = 1;
   const OrchestratorReport reference = run_orchestrated(expansion, per_job);
   for (const std::size_t batch : {std::size_t{0}, std::size_t{4}, std::size_t{16}}) {
+    const std::string path = temp_path("batching-orchestrated.ckpt");
+    std::remove(path.c_str());
     OrchestratorOptions opts;
     opts.threads = 2;
     opts.batch = batch;
+    opts.checkpoint_path = path;
     const OrchestratorReport report = run_orchestrated(expansion, opts);
+    EXPECT_TRUE(report.complete) << "batch=" << batch;
     EXPECT_EQ(report.jobs_executed, reference.jobs_executed) << "batch=" << batch;
     EXPECT_EQ(campaign_csv(report.summary), campaign_csv(reference.summary))
         << "batch=" << batch;
     EXPECT_EQ(campaign_json(report.summary), campaign_json(reference.summary))
         << "batch=" << batch;
+    std::remove(path.c_str());
   }
 }
 

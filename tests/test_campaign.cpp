@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "src/algorithms/registry.hpp"
 #include "src/campaign/thread_pool.hpp"
@@ -214,6 +216,36 @@ TEST(IntRangeParsing, RejectsMalformedText) {
   }
 }
 
+TEST(IntegerParsing, AcceptsWholeDecimalsWithinBounds) {
+  EXPECT_EQ(parse_integer("0", 0, 10), 0);
+  EXPECT_EQ(parse_integer("10", 0, 10), 10);
+  EXPECT_EQ(parse_integer("-7", -7, 7), -7);
+  EXPECT_EQ(parse_integer("007", 0, 10), 7);
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(parse_integer("9223372036854775807", kMin, kMax), kMax);
+  EXPECT_EQ(parse_integer("-9223372036854775808", kMin, kMax), kMin);
+}
+
+TEST(IntegerParsing, RejectsGarbageSignsAndOverflow) {
+  // The campaign CLI's numeric flags go through this parser: "1x" must not
+  // read as 1, "-1" must not wrap to a huge thread count, and a value past
+  // the bound must not wrap into range.
+  for (const char* bad : {"", "-", "+1", " 1", "1 ", "1x", "abc", "1.5", "1e3", "0x10", "11",
+                          "-1", "-0", "99999999999999999999", "18446744073709551626"}) {
+    EXPECT_FALSE(parse_integer(bad, 0, 10).has_value()) << bad;
+  }
+  EXPECT_FALSE(parse_integer("-8", -7, 7).has_value());
+  EXPECT_FALSE(parse_integer("9223372036854775808", 0,
+                             std::numeric_limits<std::int64_t>::max())
+                   .has_value());
+  EXPECT_FALSE(parse_integer("3", 0, 0).has_value());
+  EXPECT_FALSE(parse_integer("0", 1, 10).has_value());  // below a positive minimum
+  EXPECT_FALSE(parse_integer("-3", -7, -5).has_value());
+  // 2^64 - 6 must not wrap to -6 inside a negative-only range.
+  EXPECT_FALSE(parse_integer("18446744073709551610", -7, -5).has_value());
+}
+
 TEST(IntRangeValues, UpperEndpointIsAlwaysIncluded) {
   // Aligned and misaligned steps both cover `to`: a sweep asked to reach 64
   // columns must actually measure the 64-column edge.
@@ -297,6 +329,28 @@ TEST(Expansion, EmptyAndDegenerateMatrices) {
   Matrix unknown;
   unknown.sections = {"9.9.9"};
   EXPECT_THROW(expand(unknown), std::out_of_range);
+}
+
+TEST(Expansion, RejectsRepeatedSeeds) {
+  // A twin seed would run twice and write a checkpoint whose seed list its
+  // own loader rejects ("seeds not strictly ascending"), or be skipped as
+  // already done depending on timing.  expand refuses it and names it.
+  Matrix m;
+  m.sections = {"4.3.1"};
+  m.rows = {4, 4, 1};
+  m.cols = {5, 5, 1};
+  m.schedulers = {SchedKind::SsyncRandom};
+  m.seeds = {1, 1, 2};
+  try {
+    expand(m);
+    ADD_FAILURE() << "repeated seed accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("seed 1 "), std::string::npos) << e.what();
+  }
+  m.seeds = {5, 2, 9, 2};  // the repeat need not be adjacent
+  EXPECT_THROW(expand(m), std::invalid_argument);
+  m.seeds = {3, 1, 2};  // distinct seeds in any order are fine
+  EXPECT_EQ(expand(m).jobs.size(), 3u);
 }
 
 TEST(Expansion, PaperSectionListsMatchTable) {

@@ -75,11 +75,11 @@ class FullTelemetry {
 TEST(ObsIdentity, CampaignReportBytesMatchAcrossTelemetryAndThreads) {
   const Expansion expansion = expand(small_matrix());
   ASSERT_FALSE(obs::Registry::global().enabled());
-  const std::string want_csv = campaign_csv(run_campaign(expansion, 1, 0));
-  const std::string want_json = campaign_json(run_campaign(expansion, 1, 0));
+  const std::string want_csv = campaign_csv(run_campaign(expansion, 1));
+  const std::string want_json = campaign_json(run_campaign(expansion, 1));
   for (unsigned threads : {1u, 2u, 4u}) {
     FullTelemetry telemetry(expansion.jobs.size(), expansion.cells.size());
-    const CampaignSummary summary = run_campaign(expansion, threads, 0);
+    const CampaignSummary summary = run_campaign(expansion, threads);
     EXPECT_EQ(campaign_csv(summary), want_csv) << "threads=" << threads;
     EXPECT_EQ(campaign_json(summary), want_json) << "threads=" << threads;
     // Telemetry actually ran — this differential is not vacuous.
@@ -130,7 +130,7 @@ TEST(ObsIdentity, AnomalyCaptureLeavesReportBytesUntouched) {
   m.options.max_steps = 5;
   const Expansion expansion = expand(m);
   ASSERT_FALSE(obs::Registry::global().enabled());
-  const CampaignSummary off = run_campaign(expansion, 1, 0);
+  const CampaignSummary off = run_campaign(expansion, 1);
   ASSERT_GT(off.total.failures, 0);  // the differential is not vacuous
   const std::string want_csv = campaign_csv(off);
   const std::string want_json = campaign_json(off);
@@ -140,9 +140,11 @@ TEST(ObsIdentity, AnomalyCaptureLeavesReportBytesUntouched) {
                             std::to_string(threads);
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
-    const AnomalyCapture capture{dir, 4};
+    OrchestratorOptions opts;
+    opts.threads = threads;
+    opts.record_anomalies = {dir, 4};
     FullTelemetry telemetry(expansion.jobs.size(), expansion.cells.size());
-    const CampaignSummary summary = run_campaign(expansion, threads, 0, &capture);
+    const CampaignSummary summary = run_orchestrated(expansion, opts).summary;
     EXPECT_EQ(campaign_csv(summary), want_csv) << "threads=" << threads;
     EXPECT_EQ(campaign_json(summary), want_json) << "threads=" << threads;
     // Capture actually happened, and honored the limit.
