@@ -10,11 +10,9 @@
 //   $ ./campaign_cli --shard=0/3 --checkpoint=s0.ckpt   # then merge: campaign_merge
 //   $ ./campaign_cli --checkpoint=run.ckpt              # re-run resumes where it died
 //   $ ./campaign_cli --checkpoint=run.ckpt --adaptive   # extra seeds for shaky cells
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,6 +36,7 @@
 namespace {
 
 using namespace lumi;
+using campaign::parse_integer_into;
 
 struct Args {
   std::string sections = "paper";
@@ -80,18 +79,6 @@ bool parse_range(const std::string& text, campaign::IntRange& range) {
   }
   range = *parsed;
   return true;
-}
-
-/// Strict whole-string integer in [min, max] (campaign::parse_integer): no
-/// trailing garbage, no sign where a count is expected, no overflow.
-template <typename T>
-bool parse_int(const char* text, T& out, std::int64_t min = 0,
-               std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
-  const std::int64_t hi =
-      std::min<std::uint64_t>(static_cast<std::uint64_t>(max), std::numeric_limits<T>::max());
-  const std::optional<std::int64_t> v = campaign::parse_integer(text, min, hi);
-  if (v) out = static_cast<T>(*v);
-  return v.has_value();
 }
 
 /// Strict whole-string decimal: finite, at least `min`, nothing after the
@@ -148,15 +135,17 @@ bool parse_args(int argc, char** argv, Args& args) {
       if (!parse_range(v, args.cols)) return false;
     } else if (const char* v = value("--seeds=")) {
       // Bounded below UINT_MAX so the seed loop 1..N cannot wrap.
-      if (!parse_int(v, args.seeds, 1, std::numeric_limits<int>::max())) return bad_value();
+      if (!parse_integer_into(v, args.seeds, 1, std::numeric_limits<int>::max())) {
+        return bad_value();
+      }
     } else if (const char* v = value("--threads=")) {
-      if (!parse_int(v, args.threads)) return bad_value();
+      if (!parse_integer_into(v, args.threads)) return bad_value();
     } else if (const char* v = value("--batch=")) {
       // 0 = automatic per-cell sizing; 1 = the per-job reference path.
       // Reports are byte-identical at any value — this is a perf knob only.
-      if (!parse_int(v, args.batch)) return bad_value();
+      if (!parse_integer_into(v, args.batch)) return bad_value();
     } else if (const char* v = value("--max-steps=")) {
-      if (!parse_int(v, args.max_steps, 1)) return bad_value();
+      if (!parse_integer_into(v, args.max_steps, 1)) return bad_value();
     } else if (const char* v = value("--csv=")) {
       args.csv_path = v;
     } else if (const char* v = value("--json=")) {
@@ -170,7 +159,7 @@ bool parse_args(int argc, char** argv, Args& args) {
       const std::string spec = v;
       const std::size_t comma = spec.rfind(',');
       if (comma != std::string::npos) {
-        if (!parse_int(spec.c_str() + comma + 1, args.record_anomalies.limit, 1)) {
+        if (!parse_integer_into(spec.c_str() + comma + 1, args.record_anomalies.limit, 1)) {
           return bad_value();
         }
         args.record_anomalies.dir = spec.substr(0, comma);
@@ -189,15 +178,15 @@ bool parse_args(int argc, char** argv, Args& args) {
         return bad_value();
       }
     } else if (const char* v = value("--max-jobs=")) {
-      if (!parse_int(v, args.max_jobs)) return bad_value();
+      if (!parse_integer_into(v, args.max_jobs)) return bad_value();
     } else if (arg == "--adaptive") {
       args.adaptive.enabled = true;
     } else if (const char* v = value("--adaptive-max-extra=")) {
       args.adaptive.enabled = true;
-      if (!parse_int(v, args.adaptive.max_extra_seeds)) return bad_value();
+      if (!parse_integer_into(v, args.adaptive.max_extra_seeds)) return bad_value();
     } else if (const char* v = value("--adaptive-round=")) {
       args.adaptive.enabled = true;
-      if (!parse_int(v, args.adaptive.seeds_per_round, 1)) return bad_value();
+      if (!parse_integer_into(v, args.adaptive.seeds_per_round, 1)) return bad_value();
     } else if (const char* v = value("--adaptive-variance=")) {
       args.adaptive.enabled = true;
       if (!parse_real(v, args.adaptive.instants_variance_threshold, 0.0)) return bad_value();

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "src/algorithms/registry.hpp"
+#include "src/campaign/campaign.hpp"
 #include "src/engine/runner.hpp"
 #include "src/topo/topology.hpp"
 #include "src/trace/ascii_render.hpp"
@@ -38,21 +39,26 @@ bool parse_args(int argc, char** argv, Args& args) {
       const std::size_t len = std::strlen(key);
       return arg.compare(0, len, key) == 0 ? arg.c_str() + len : nullptr;
     };
+    // Numeric flags are strict (campaign::parse_integer): a malformed value
+    // is named, never silently read as a prefix or as 0.
+    auto bad_value = [&arg]() {
+      std::fprintf(stderr, "bad value in '%s'\n", arg.c_str());
+      return false;
+    };
     if (const char* v = value("--section=")) {
       args.section = v;
     } else if (const char* v = value("--rows=")) {
-      args.rows = std::atoi(v);
+      if (!lumi::campaign::parse_integer_into(v, args.rows, 1)) return bad_value();
     } else if (const char* v = value("--cols=")) {
-      args.cols = std::atoi(v);
+      if (!lumi::campaign::parse_integer_into(v, args.cols, 1)) return bad_value();
     } else if (const char* v = value("--topology=")) {
       args.topology = v;
     } else if (const char* v = value("--sched=")) {
       args.sched = v;
     } else if (const char* v = value("--seed=")) {
-      args.seed = static_cast<unsigned>(std::atoi(v));
+      if (!lumi::campaign::parse_integer_into(v, args.seed)) return bad_value();
     } else if (const char* v = value("--max-steps=")) {
-      args.max_steps = std::atol(v);
-      if (args.max_steps < 1) return false;
+      if (!lumi::campaign::parse_integer_into(v, args.max_steps, 1)) return bad_value();
     } else if (arg == "--trace") {
       args.trace = true;
     } else {

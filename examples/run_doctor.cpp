@@ -133,6 +133,11 @@ int record(int argc, char** argv) {
       }
       return std::nullopt;
     };
+    // Every rejection names the offending flag and writes no recording.
+    const auto bad_value = [&arg]() {
+      std::fprintf(stderr, "bad value in '%s'\n", arg.c_str());
+      return 2;
+    };
     if (const auto v = value("--record")) {
       out_path = *v;
     } else if (const auto v = value("--section")) {
@@ -144,15 +149,16 @@ int record(int argc, char** argv) {
     } else if (const auto v = value("--sched")) {
       sched_name = *v;
     } else if (const auto v = value("--rows")) {
-      rows = std::stoi(*v);
+      if (!campaign::parse_integer_into(*v, rows, 1)) return bad_value();
     } else if (const auto v = value("--cols")) {
-      cols = std::stoi(*v);
+      if (!campaign::parse_integer_into(*v, cols, 1)) return bad_value();
     } else if (const auto v = value("--seed")) {
-      seed = static_cast<unsigned>(std::stoul(*v));
+      if (!campaign::parse_integer_into(*v, seed)) return bad_value();
     } else if (const auto v = value("--max-steps")) {
-      max_steps = std::stol(*v);
+      if (!campaign::parse_integer_into(*v, max_steps, 1)) return bad_value();
     } else if (const auto v = value("--capacity")) {
-      capacity = static_cast<std::size_t>(std::stoul(*v));
+      // 0 is accepted: the recorder clamps its ring to one slot.
+      if (!campaign::parse_integer_into(*v, capacity)) return bad_value();
     } else if (arg == "--unique-actions") {
       unique_actions = true;
     } else {

@@ -13,6 +13,7 @@ AsyncEngine::AsyncEngine(const Algorithm& alg, Configuration initial, bool incre
       config_(std::move(initial)),
       phases_(static_cast<std::size_t>(config_.num_robots()), Phase::Idle),
       pending_(static_cast<std::size_t>(config_.num_robots())) {
+  effective_.reserve(static_cast<std::size_t>(config_.num_robots()));
   if (incremental) {
     std::shared_ptr<const TrackerWarmStart> held;
     const TrackerWarmStart* table = warm_adopt;
@@ -32,27 +33,29 @@ const Action& AsyncEngine::pending(int robot) const {
   return pending_.at(static_cast<std::size_t>(robot));
 }
 
-std::vector<int> AsyncEngine::effective_robots() const {
-  std::vector<int> out;
+const std::vector<int>& AsyncEngine::effective_robots() {
+  effective_.clear();
   for (int i = 0; i < config_.num_robots(); ++i) {
     const bool idle_enabled =
         tracker_ ? tracker_->enabled(i) : is_enabled(*compiled_, config_, i);
-    if (phase(i) != Phase::Idle || idle_enabled) out.push_back(i);
+    if (phase(i) != Phase::Idle || idle_enabled) effective_.push_back(i);
   }
-  return out;
+  return effective_;
 }
 
-std::vector<Action> AsyncEngine::look_choices(int robot) const {
+const std::vector<Action>& AsyncEngine::look_choices(int robot) {
   if (phase(robot) != Phase::Idle) throw std::logic_error("look_choices: robot mid-cycle");
   if (tracker_) return tracker_->actions(robot);
-  return enabled_actions(*compiled_, config_, robot);
+  take_snapshot_into(config_, robot, compiled_->phi(), snap_);
+  enabled_actions_into(*compiled_, snap_, choices_);
+  return choices_;
 }
 
 void AsyncEngine::activate(int robot, std::optional<Action> chosen) {
   auto& phase = phases_.at(static_cast<std::size_t>(robot));
   switch (phase) {
     case Phase::Idle: {
-      const std::vector<Action> choices = look_choices(robot);
+      const std::vector<Action>& choices = look_choices(robot);
       if (choices.empty()) return;  // vacuous cycle, unobservable
       const Action decision = chosen.value_or(choices.front());
       // Choices are deduplicated by behavior, so at most one can match.

@@ -59,11 +59,18 @@ class AsyncEngine {
   const Action& pending(int robot) const;
 
   /// Robots whose activation would change observable state: robots mid-cycle
-  /// plus Idle robots that are currently enabled.
-  std::vector<int> effective_robots() const;
+  /// plus Idle robots that are currently enabled, in index order.  The view
+  /// is an engine-owned buffer, rewritten in place (no allocation once
+  /// sized) by the next effective_robots() call and by nothing else: after
+  /// an activate() it still holds the list as of the call, so re-query
+  /// rather than reuse it.  Copy it to keep it.
+  const std::vector<int>& effective_robots();
 
   /// Choices available to an Idle robot's Look (distinct enabled behaviors).
-  std::vector<Action> look_choices(int robot) const;
+  /// The view is the tracker's cached verdict (incremental) or an
+  /// engine-owned buffer (recompute path); either way it stays valid until
+  /// the next activate() or look_choices() call.  Copy it to keep it.
+  const std::vector<Action>& look_choices(int robot);
 
   /// Activates one event of `robot`.  For an Idle robot, `chosen` must match
   /// one of look_choices(robot) behaviorally (defaults to the first), and a
@@ -86,6 +93,9 @@ class AsyncEngine {
   std::vector<Phase> phases_;
   std::vector<Action> pending_;
   std::unique_ptr<DirtyTracker> tracker_;  ///< null when incremental is off
+  std::vector<int> effective_;             ///< effective_robots() view
+  std::vector<Action> choices_;            ///< look_choices() view, recompute path
+  Snapshot snap_;                          ///< look_choices() scratch, recompute path
 };
 
 }  // namespace lumi

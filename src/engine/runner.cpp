@@ -165,7 +165,7 @@ RunResult run_async(const Algorithm& alg, const Topology& topo, AsyncScheduler& 
   };
 
   for (long event = 0; event < opts.max_steps; ++event) {
-    const std::vector<int> effective = engine.effective_robots();
+    const std::vector<int>& effective = engine.effective_robots();
     if (effective.empty()) {
       result.terminated = true;
       result.explored_all = all_explored(result.visited, topo);
@@ -176,7 +176,7 @@ RunResult run_async(const Algorithm& alg, const Topology& topo, AsyncScheduler& 
     const Phase before = engine.phase(robot);
     std::string note;
     if (before == Phase::Idle) {
-      const std::vector<Action> choices = engine.look_choices(robot);
+      const std::vector<Action>& choices = engine.look_choices(robot);
       if (choices.empty()) {
         // The scheduler picked a robot that became disabled; vacuous cycle.
         continue;

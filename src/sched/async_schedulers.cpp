@@ -48,11 +48,11 @@ int AsyncStaleStressScheduler::pick_robot(const AsyncEngine& engine,
                                           const std::vector<int>& effective) {
   // Prefer starting new Looks (accumulating concurrent pending cycles);
   // among equals pick randomly.
-  std::vector<int> idle;
+  idle_.clear();
   for (int robot : effective) {
-    if (engine.phase(robot) == Phase::Idle) idle.push_back(robot);
+    if (engine.phase(robot) == Phase::Idle) idle_.push_back(robot);
   }
-  const std::vector<int>& pool = idle.empty() ? effective : idle;
+  const std::vector<int>& pool = idle_.empty() ? effective : idle_;
   return pool[bounded_draw(rng_, static_cast<std::uint32_t>(pool.size()))];
 }
 

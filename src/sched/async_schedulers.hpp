@@ -10,6 +10,11 @@
 
 namespace lumi {
 
+/// `effective` and `choices` are views into engine-owned buffers (see
+/// AsyncEngine::effective_robots / look_choices), valid only for the
+/// duration of the call: a scheduler that wants them later must copy them.
+/// Implementations keep any per-event scratch as members, so the event loop
+/// stays allocation-free.
 class AsyncScheduler {
  public:
   virtual ~AsyncScheduler() = default;
@@ -59,6 +64,7 @@ class AsyncStaleStressScheduler final : public AsyncScheduler {
 
  private:
   rng::Engine rng_;
+  std::vector<int> idle_;  ///< pick_robot scratch, reused across events
 };
 
 }  // namespace lumi
