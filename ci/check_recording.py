@@ -26,6 +26,7 @@ file per failure mode plus a clean one — and pins each verdict, mirroring
 ci/check_trace.py.  The fixture suite is wired as a ctest entry.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,7 +51,8 @@ class Reader:
         self.errors: list[str] = []
 
     def error(self, msg: str) -> None:
-        self.errors.append(f"{self.where}:{self.pos + 1}: {msg}")
+        """Records `msg` against the line consumed last."""
+        self.errors.append(f"{self.where}:{self.pos}: {msg}")
 
     def next_line(self) -> str | None:
         if self.pos >= len(self.lines):
@@ -70,21 +72,33 @@ class Reader:
             raise Stop
         fields = line.split(" ")
         if not fields or fields[0] != key:
-            self.pos -= 1  # re-point the error at the offending line
             self.error(f"expected '{key} ...', got '{line}'")
-            self.pos += 1
             raise Stop
         return fields[1:]
 
 
-def to_int(reader: Reader, text: str, what: str, minimum: int) -> int | None:
-    try:
-        value = int(text)
-    except ValueError:
+# Upper bounds of the C++ fields the reader fills (int, unsigned, long).
+INT_MAX = 2**31 - 1
+UINT_MAX = 2**32 - 1
+LONG_MAX = 2**63 - 1
+
+# The documented integer grammar (docs/FORMATS.md#numbers-and-tokens).
+# Python's int() also takes '+2', '1_0', ' 2' and non-ASCII digits.
+INTEGER = re.compile(r"-?[0-9]+")
+
+
+def to_int(
+    reader: Reader, text: str, what: str, minimum: int, maximum: int = LONG_MAX
+) -> int | None:
+    if not INTEGER.fullmatch(text):
         reader.error(f"{what} is not an integer: '{text}'")
         return None
+    value = int(text)
     if value < minimum:
         reader.error(f"{what} must be >= {minimum}, got {value}")
+        return None
+    if value > maximum:
+        reader.error(f"{what} must be <= {maximum}, got {value}")
         return None
     return value
 
@@ -98,8 +112,8 @@ def check_robots(reader: Reader, count: int) -> None:
         index = to_int(reader, ops[0], "robot index", 0)
         if index is not None and index != i:
             reader.error(f"robot index {index} out of order (expected {i})")
-        to_int(reader, ops[1], "robot row", -(10**9))
-        to_int(reader, ops[2], "robot col", -(10**9))
+        to_int(reader, ops[1], "robot row", -(10**9), INT_MAX)
+        to_int(reader, ops[2], "robot col", -(10**9), INT_MAX)
         if ops[3] not in COLORS:
             reader.error(f"robot color '{ops[3]}' not one of {sorted(COLORS)}")
 
@@ -147,14 +161,14 @@ def check_body(r: Reader) -> None:
         if len(ops) != 2:
             r.error("scheduler needs exactly 2 operands (name, seed)")
         else:
-            to_int(r, ops[1], "scheduler seed", 0)
+            to_int(r, ops[1], "scheduler seed", 0, UINT_MAX)
     ops = r.expect("dims")
     if ops is not None:
         if len(ops) != 2:
             r.error("dims needs exactly 2 operands")
         else:
-            to_int(r, ops[0], "rows", 0)
-            to_int(r, ops[1], "cols", 0)
+            to_int(r, ops[0], "rows", 0, INT_MAX)
+            to_int(r, ops[1], "cols", 0, INT_MAX)
     ops = r.expect("topology")
     if ops is not None and len(ops) != 1:
         r.error("topology needs exactly 1 operand")
@@ -227,9 +241,9 @@ def check_body(r: Reader) -> None:
             last_instant = instant
         if ops[1] not in EVENT_KINDS:
             r.error(f"event kind '{ops[1]}' not one of {sorted(EVENT_KINDS)}")
-        to_int(r, ops[2], "event robot", 0)
-        to_int(r, ops[3], "event rule index", -1)
-        to_int(r, ops[4], "event rotation", 0)
+        to_int(r, ops[2], "event robot", 0, INT_MAX)
+        to_int(r, ops[3], "event rule index", -1, INT_MAX)
+        to_int(r, ops[4], "event rotation", 0, 3)
         if ops[5] not in ("0", "1"):
             r.error(f"event mirror flag must be 0 or 1, got '{ops[5]}'")
         for label, letter in (("before", ops[6]), ("after", ops[7])):
@@ -272,10 +286,10 @@ def check_body(r: Reader) -> None:
     r.expect("end")
     while r.pos < len(r.lines):
         line = r.lines[r.pos].rstrip("\r")
+        r.pos += 1
         if line:
             r.error(f"content after end marker: '{line}'")
             break
-        r.pos += 1
 
 
 def self_test() -> int:
@@ -305,6 +319,15 @@ def self_test() -> int:
     expect("bad_cycle_mismatch.lumirec", ["cycle witness present but diagnosis is"])
     expect("bad_failure_mismatch.lumirec", ["requires 'failure ok'"])
     expect("bad_truncated.lumirec", ["truncated"])
+    expect(
+        "bad_integer.lumirec",
+        [
+            "scheduler seed must be <= 4294967295",
+            "cols is not an integer: '1_0'",
+            "event rotation is not an integer: '+2'",
+            "event rotation must be <= 3",
+        ],
+    )
     for f in failures:
         print(f"self-test: {f}", file=sys.stderr)
     print(f"check_recording self-test: {len(failures)} failures")

@@ -27,6 +27,7 @@
 #include "src/campaign/campaign.hpp"
 #include "src/campaign/orchestrate.hpp"
 #include "src/campaign/shard.hpp"
+#include "src/core/text.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/progress.hpp"
 #include "src/obs/trace_event.hpp"
@@ -36,7 +37,7 @@
 namespace {
 
 using namespace lumi;
-using campaign::parse_integer_into;
+using text::parse_integer_into;
 
 struct Args {
   std::string sections = "paper";

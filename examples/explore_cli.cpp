@@ -14,7 +14,7 @@
 #include <string>
 
 #include "src/algorithms/registry.hpp"
-#include "src/campaign/campaign.hpp"
+#include "src/core/text.hpp"
 #include "src/engine/runner.hpp"
 #include "src/topo/topology.hpp"
 #include "src/trace/ascii_render.hpp"
@@ -39,7 +39,7 @@ bool parse_args(int argc, char** argv, Args& args) {
       const std::size_t len = std::strlen(key);
       return arg.compare(0, len, key) == 0 ? arg.c_str() + len : nullptr;
     };
-    // Numeric flags are strict (campaign::parse_integer): a malformed value
+    // Numeric flags are strict (text::parse_integer): a malformed value
     // is named, never silently read as a prefix or as 0.
     auto bad_value = [&arg]() {
       std::fprintf(stderr, "bad value in '%s'\n", arg.c_str());
@@ -48,17 +48,17 @@ bool parse_args(int argc, char** argv, Args& args) {
     if (const char* v = value("--section=")) {
       args.section = v;
     } else if (const char* v = value("--rows=")) {
-      if (!lumi::campaign::parse_integer_into(v, args.rows, 1)) return bad_value();
+      if (!lumi::text::parse_integer_into(v, args.rows, 1)) return bad_value();
     } else if (const char* v = value("--cols=")) {
-      if (!lumi::campaign::parse_integer_into(v, args.cols, 1)) return bad_value();
+      if (!lumi::text::parse_integer_into(v, args.cols, 1)) return bad_value();
     } else if (const char* v = value("--topology=")) {
       args.topology = v;
     } else if (const char* v = value("--sched=")) {
       args.sched = v;
     } else if (const char* v = value("--seed=")) {
-      if (!lumi::campaign::parse_integer_into(v, args.seed)) return bad_value();
+      if (!lumi::text::parse_integer_into(v, args.seed)) return bad_value();
     } else if (const char* v = value("--max-steps=")) {
-      if (!lumi::campaign::parse_integer_into(v, args.max_steps, 1)) return bad_value();
+      if (!lumi::text::parse_integer_into(v, args.max_steps, 1)) return bad_value();
     } else if (arg == "--trace") {
       args.trace = true;
     } else {

@@ -29,6 +29,7 @@
 #include "src/algorithms/registry.hpp"
 #include "src/campaign/campaign.hpp"
 #include "src/campaign/doctor.hpp"
+#include "src/core/text.hpp"
 #include "src/dsl/dsl.hpp"
 #include "src/obs/recorder.hpp"
 #include "src/topo/topology.hpp"
@@ -149,16 +150,16 @@ int record(int argc, char** argv) {
     } else if (const auto v = value("--sched")) {
       sched_name = *v;
     } else if (const auto v = value("--rows")) {
-      if (!campaign::parse_integer_into(*v, rows, 1)) return bad_value();
+      if (!text::parse_integer_into(*v, rows, 1)) return bad_value();
     } else if (const auto v = value("--cols")) {
-      if (!campaign::parse_integer_into(*v, cols, 1)) return bad_value();
+      if (!text::parse_integer_into(*v, cols, 1)) return bad_value();
     } else if (const auto v = value("--seed")) {
-      if (!campaign::parse_integer_into(*v, seed)) return bad_value();
+      if (!text::parse_integer_into(*v, seed)) return bad_value();
     } else if (const auto v = value("--max-steps")) {
-      if (!campaign::parse_integer_into(*v, max_steps, 1)) return bad_value();
+      if (!text::parse_integer_into(*v, max_steps, 1)) return bad_value();
     } else if (const auto v = value("--capacity")) {
       // 0 is accepted: the recorder clamps its ring to one slot.
-      if (!campaign::parse_integer_into(*v, capacity)) return bad_value();
+      if (!text::parse_integer_into(*v, capacity)) return bad_value();
     } else if (arg == "--unique-actions") {
       unique_actions = true;
     } else {

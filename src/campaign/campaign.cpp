@@ -9,6 +9,7 @@
 
 #include "src/algorithms/registry.hpp"
 #include "src/analysis/rule_analysis.hpp"
+#include "src/core/text.hpp"
 #include "src/dsl/dsl.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/recorder.hpp"
@@ -81,37 +82,9 @@ std::vector<int> IntRange::values() const {
   return out;
 }
 
-std::optional<std::int64_t> parse_integer(const std::string& text, std::int64_t min,
-                                          std::int64_t max) {
-  const bool negative = !text.empty() && text[0] == '-';
-  if (negative && min >= 0) return std::nullopt;
-  std::size_t i = negative ? 1 : 0;
-  if (i == text.size()) return std::nullopt;
-  // The magnitude is bounded before every multiply, so no digit string can
-  // overflow the accumulator whatever its length.
-  const std::uint64_t limit = negative ? 0 - static_cast<std::uint64_t>(min)
-                                       : static_cast<std::uint64_t>(std::max<std::int64_t>(max, 0));
-  std::uint64_t v = 0;
-  for (; i < text.size(); ++i) {
-    if (text[i] < '0' || text[i] > '9') return std::nullopt;
-    const auto digit = static_cast<std::uint64_t>(text[i] - '0');
-    if (digit > limit || v > (limit - digit) / 10) return std::nullopt;
-    v = v * 10 + digit;
-  }
-  // -(v - 1) - 1 reaches INT64_MIN without negating an out-of-range value.
-  const std::int64_t value = !negative ? static_cast<std::int64_t>(v)
-                             : v == 0  ? 0
-                                       : -static_cast<std::int64_t>(v - 1) - 1;
-  if (value < min || value > max) return std::nullopt;
-  return value;
-}
-
 std::optional<IntRange> range_from_string(const std::string& text) {
-  const auto parse_int = [](const std::string& s, int& out) {
-    constexpr std::int64_t kMax = std::numeric_limits<int>::max();
-    const std::optional<std::int64_t> v = parse_integer(s, -kMax, kMax);
-    if (v) out = static_cast<int>(*v);
-    return v.has_value();
+  const auto parse_int = [](std::string_view s, int& out) {
+    return text::parse_integer_into(s, out, -std::numeric_limits<int>::max());
   };
   IntRange out{0, 0, 1};
   const std::size_t dots = text.find("..");

@@ -7,11 +7,9 @@
 // cell axis: they shard, checkpoint, resume and merge exactly like grids.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -63,27 +61,6 @@ struct IntRange {
   /// Throws std::invalid_argument on a non-positive step.
   std::vector<int> values() const;
 };
-
-/// Strict base-10 integer parse of a whole string: an optional leading '-'
-/// then digits only — no '+', whitespace, empty digit string or trailing
-/// garbage.  std::nullopt when malformed or outside [min, max]; overflow is
-/// detected, never wrapped.  The one integer parser behind the range grammar
-/// and the campaign CLI's numeric flags.
-std::optional<std::int64_t> parse_integer(const std::string& text, std::int64_t min,
-                                          std::int64_t max);
-
-/// parse_integer into a flag of integer type T, with `max` clamped to T's
-/// range: true and `out` written on success, false and `out` untouched on
-/// malformed or out-of-range text.  What every CLI's numeric flags use.
-template <typename T>
-bool parse_integer_into(const std::string& text, T& out, std::int64_t min = 0,
-                        std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
-  const std::int64_t hi =
-      std::min<std::uint64_t>(static_cast<std::uint64_t>(max), std::numeric_limits<T>::max());
-  const std::optional<std::int64_t> v = parse_integer(text, min, hi);
-  if (v) out = static_cast<T>(*v);
-  return v.has_value();
-}
 
 /// Parses the campaign CLI range grammar — "8", "4..64" or "4..64:12" —
 /// into an inclusive stepped range.  std::nullopt (with nothing written

@@ -1,10 +1,14 @@
 #include "src/campaign/checkpoint.hpp"
 
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "src/core/text.hpp"
 
 namespace lumi::campaign {
 
@@ -14,61 +18,15 @@ constexpr const char* kMagic = "lumi-campaign-checkpoint";
 // v2: the cell record carries the topology spec token (between the
 // scheduler and section fields); v1 files predate the topology axis and are
 // rejected rather than guessed at.
-constexpr int kVersion = 2;
+constexpr std::string_view kVersion = "v2";
 constexpr const char* kStatNames[] = {"instants", "activations", "moves", "color_changes",
                                       "visited"};
 
-LongStat* stat_by_name(CellAccumulator& acc, const std::string& name) {
-  LongStat* stats[] = {&acc.instants, &acc.activations, &acc.moves, &acc.color_changes,
-                       &acc.visited};
-  for (std::size_t i = 0; i < std::size(kStatNames); ++i) {
-    if (name == kStatNames[i]) return stats[i];
-  }
-  return nullptr;
-}
-
-/// Sections may contain arbitrary bytes; encode them into a single
-/// whitespace-free token ('%XX' for '%' and anything outside 0x21..0x7e).
-std::string encode_token(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char raw : s) {
-    const unsigned char c = static_cast<unsigned char>(raw);
-    if (c == '%' || c < 0x21 || c > 0x7e) {
-      char buf[4];
-      std::snprintf(buf, sizeof(buf), "%%%02x", c);
-      out += buf;
-    } else {
-      out.push_back(raw);
-    }
-  }
-  return out;
-}
-
-std::string decode_token(const std::string& s) {
-  const auto hex_digit = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  };
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '%') {
-      out.push_back(s[i]);
-      continue;
-    }
-    if (i + 2 >= s.size()) throw std::runtime_error("checkpoint: truncated %-escape");
-    const int hi = hex_digit(s[i + 1]);
-    const int lo = hex_digit(s[i + 2]);
-    if (hi < 0 || lo < 0) {
-      throw std::runtime_error("checkpoint: bad %-escape '" + s.substr(i, 3) + "'");
-    }
-    out.push_back(static_cast<char>(hi * 16 + lo));
-    i += 2;
-  }
-  return out;
+/// The statistics of `acc` (const or not), in kStatNames order.
+template <typename Acc>
+auto stats_of(Acc& acc) {
+  return std::array{&acc.instants, &acc.activations, &acc.moves, &acc.color_changes,
+                    &acc.visited};
 }
 
 void serialize_stat(std::ostringstream& out, const char* name, const LongStat& s) {
@@ -76,10 +34,6 @@ void serialize_stat(std::ostringstream& out, const char* name, const LongStat& s
       << ' ' << s.max;
   for (long h : s.histogram) out << ' ' << h;
   out << '\n';
-}
-
-[[noreturn]] void fail(std::size_t line, const std::string& what) {
-  throw std::runtime_error("checkpoint: line " + std::to_string(line) + ": " + what);
 }
 
 }  // namespace
@@ -119,23 +73,18 @@ Checkpoint make_checkpoint(const Expansion& expansion) {
 
 std::string checkpoint_serialize(const Checkpoint& checkpoint) {
   std::ostringstream out;
-  out << kMagic << " v" << kVersion << '\n';
-  char fp[24];
-  std::snprintf(fp, sizeof(fp), "%016llx",
-                static_cast<unsigned long long>(checkpoint.fingerprint));
-  out << "fingerprint " << fp << '\n';
+  out << kMagic << ' ' << kVersion << '\n';
+  out << "fingerprint " << text::format_hex64(checkpoint.fingerprint) << '\n';
   out << "cells " << checkpoint.cells.size() << '\n';
   for (std::size_t i = 0; i < checkpoint.cells.size(); ++i) {
     const CheckpointCell& c = checkpoint.cells[i];
     out << "cell " << i << ' ' << c.cell.rows << ' ' << c.cell.cols << ' '
-        << to_string(c.cell.sched) << ' ' << encode_token(c.cell.topo) << ' '
-        << encode_token(c.cell.section) << '\n';
+        << to_string(c.cell.sched) << ' ' << text::encode_token(c.cell.topo) << ' '
+        << text::encode_token(c.cell.section) << '\n';
     out << "acc " << c.acc.runs << ' ' << c.acc.terminated << ' ' << c.acc.explored_all << ' '
         << c.acc.failures << '\n';
-    const LongStat* stats[] = {&c.acc.instants, &c.acc.activations, &c.acc.moves,
-                               &c.acc.color_changes, &c.acc.visited};
     for (std::size_t s = 0; s < std::size(kStatNames); ++s) {
-      serialize_stat(out, kStatNames[s], *stats[s]);
+      serialize_stat(out, kStatNames[s], *stats_of(c.acc)[s]);
     }
     out << "seeds " << c.seeds_done.size();
     for (unsigned seed : c.seeds_done) out << ' ' << seed;
@@ -146,100 +95,69 @@ std::string checkpoint_serialize(const Checkpoint& checkpoint) {
 }
 
 Checkpoint checkpoint_parse(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  std::size_t lineno = 0;
-  const auto next_line = [&]() -> std::istringstream {
-    if (!std::getline(in, line)) fail(lineno, "unexpected end of file");
-    ++lineno;
-    return std::istringstream(line);
-  };
-  const auto expect_keyword = [&](std::istringstream& ls, const char* want) {
-    std::string got;
-    if (!(ls >> got) || got != want) fail(lineno, std::string("expected '") + want + "'");
-  };
-
+  text::LineReader in(text, "checkpoint");
   Checkpoint out;
-  {
-    std::istringstream ls = next_line();
-    expect_keyword(ls, kMagic);
-    std::string want = "v";
-    want += std::to_string(kVersion);
-    std::string version;
-    if (!(ls >> version) || version != want) {
-      fail(lineno, "unsupported version '" + version + "'");
-    }
+  if (const std::string_view version = in.fields(kMagic, 1)[0]; version != kVersion) {
+    in.fail("unsupported version '" + std::string(version) + "'");
   }
-  {
-    std::istringstream ls = next_line();
-    expect_keyword(ls, "fingerprint");
-    std::string hex;
-    if (!(ls >> hex) || hex.size() != 16) fail(lineno, "bad fingerprint");
-    out.fingerprint = std::strtoull(hex.c_str(), nullptr, 16);
-  }
-  std::size_t num_cells = 0;
-  {
-    std::istringstream ls = next_line();
-    expect_keyword(ls, "cells");
-    if (!(ls >> num_cells)) fail(lineno, "bad cell count");
-  }
+  out.fingerprint = in.hex64(in.fields("fingerprint", 1)[0], "fingerprint");
+  // Each cell is a cell, an acc, one stat per statistic and a seeds line.
+  const std::size_t num_cells =
+      in.count(in.fields("cells", 1)[0], "cell count", 3 + std::size(kStatNames));
   out.cells.reserve(num_cells);
   for (std::size_t i = 0; i < num_cells; ++i) {
     CheckpointCell c;
     {
-      std::istringstream ls = next_line();
-      expect_keyword(ls, "cell");
-      std::size_t index = 0;
-      std::string sched, topo, section;
-      if (!(ls >> index >> c.cell.rows >> c.cell.cols >> sched >> topo >> section) ||
-          index != i) {
-        fail(lineno, "bad cell record");
+      const auto& f = in.fields("cell", 6);
+      if (in.integer<std::size_t>(f[0], "cell index", 0) != i) {
+        in.fail("cell index '" + std::string(f[0]) + "', expected " + std::to_string(i));
       }
-      const auto kind = sched_from_name(sched);
-      if (!kind) fail(lineno, "unknown scheduler '" + sched + "'");
+      c.cell.rows = in.integer<int>(f[1], "cell rows");
+      c.cell.cols = in.integer<int>(f[2], "cell cols");
+      const auto kind = sched_from_name(std::string(f[3]));
+      if (!kind) in.fail("unknown scheduler '" + std::string(f[3]) + "'");
       c.cell.sched = *kind;
-      c.cell.topo = decode_token(topo);
-      c.cell.section = decode_token(section);
+      c.cell.topo = in.token(f[4], "topology token");
+      c.cell.section = in.token(f[5], "section token");
     }
     {
-      std::istringstream ls = next_line();
-      expect_keyword(ls, "acc");
-      if (!(ls >> c.acc.runs >> c.acc.terminated >> c.acc.explored_all >> c.acc.failures)) {
-        fail(lineno, "bad accumulator record");
+      const auto& f = in.fields("acc", 4);
+      long* counters[] = {&c.acc.runs, &c.acc.terminated, &c.acc.explored_all, &c.acc.failures};
+      for (std::size_t k = 0; k < std::size(counters); ++k) {
+        *counters[k] = in.integer<long>(f[k], "acc count", 0);
       }
     }
-    for (const char* name : kStatNames) {
-      std::istringstream ls = next_line();
-      expect_keyword(ls, "stat");
-      std::string got;
-      if (!(ls >> got) || got != name) fail(lineno, std::string("expected stat ") + name);
-      LongStat* stat = stat_by_name(c.acc, got);
-      if (!(ls >> stat->count >> stat->sum >> stat->sum_squares >> stat->min >> stat->max)) {
-        fail(lineno, "bad stat record");
+    for (std::size_t s = 0; s < std::size(kStatNames); ++s) {
+      const std::string_view name = kStatNames[s];
+      LongStat& stat = *stats_of(c.acc)[s];
+      const auto& f = in.fields("stat", 6 + stat.histogram.size());
+      if (f[0] != name) {
+        in.fail("expected stat " + std::string(name) + ", got '" + std::string(f[0]) + "'");
       }
-      for (long& h : stat->histogram) {
-        if (!(ls >> h)) fail(lineno, "bad histogram");
+      stat.count = in.integer<long>(f[1], "stat count", 0);
+      stat.sum = in.integer<long long>(f[2], "stat sum");
+      stat.sum_squares = in.integer<long long>(f[3], "stat sum_squares");
+      stat.min = in.integer<long>(f[4], "stat min");
+      stat.max = in.integer<long>(f[5], "stat max");
+      for (std::size_t b = 0; b < stat.histogram.size(); ++b) {
+        stat.histogram[b] = in.integer<long>(f[6 + b], "histogram bucket", 0);
       }
     }
     {
-      std::istringstream ls = next_line();
-      expect_keyword(ls, "seeds");
-      std::size_t k = 0;
-      if (!(ls >> k)) fail(lineno, "bad seed count");
-      c.seeds_done.resize(k);
-      for (unsigned& seed : c.seeds_done) {
-        if (!(ls >> seed)) fail(lineno, "bad seed list");
-      }
-      for (std::size_t s = 1; s < c.seeds_done.size(); ++s) {
-        if (c.seeds_done[s - 1] >= c.seeds_done[s]) fail(lineno, "seeds not strictly ascending");
+      // The count must match the seeds listed, so it sizes nothing itself.
+      const auto& f = in.fields("seeds");
+      if (f.empty()) in.require_fields(1);
+      in.require_fields(1 + in.integer<std::size_t>(f[0], "seed count", 0));
+      c.seeds_done.reserve(f.size() - 1);
+      for (std::size_t s = 1; s < f.size(); ++s) {
+        const auto seed = in.integer<unsigned>(f[s], "seed", 0);
+        if (!c.seeds_done.empty() && c.seeds_done.back() >= seed) in.bad("seed order", f[s]);
+        c.seeds_done.push_back(seed);
       }
     }
     out.cells.push_back(std::move(c));
   }
-  {
-    std::istringstream ls = next_line();
-    expect_keyword(ls, "end");
-  }
+  in.fields("end", 0);
   return out;
 }
 

@@ -1,19 +1,23 @@
 #include "src/campaign/shard.hpp"
 
-#include <cstdint>
-#include <limits>
 #include <stdexcept>
+#include <string_view>
+
+#include "src/core/text.hpp"
 
 namespace lumi::campaign {
 
 std::optional<ShardSpec> shard_from_string(const std::string& text) {
   const std::size_t slash = text.find('/');
   if (slash == std::string::npos) return std::nullopt;
-  constexpr std::int64_t kMax = std::numeric_limits<unsigned>::max();
-  const std::optional<std::int64_t> index = parse_integer(text.substr(0, slash), 0, kMax);
-  const std::optional<std::int64_t> count = parse_integer(text.substr(slash + 1), 1, kMax);
-  if (!index || !count || *index >= *count) return std::nullopt;
-  return ShardSpec{static_cast<unsigned>(*index), static_cast<unsigned>(*count)};
+  const std::string_view spelling = text;
+  ShardSpec out;
+  if (!text::parse_integer_into(spelling.substr(0, slash), out.index) ||
+      !text::parse_integer_into(spelling.substr(slash + 1), out.count, 1) ||
+      out.index >= out.count) {
+    return std::nullopt;
+  }
+  return out;
 }
 
 std::string to_string(const ShardSpec& spec) {

@@ -15,6 +15,7 @@
 // with <cell> in {C,N,E,S,W,NN,EE,SS,WW,NE,SE,SW,NW}, <pattern> in
 // {empty, wall, gray, any, {G,W,...}}, <move> in {N,E,S,W,Idle}.  Cells not
 // listed default to gray (no robot there); C accepts only a multiset.
+// Integers follow the shared grammar of docs/FORMATS.md#numbers-and-tokens.
 #pragma once
 
 #include <string>

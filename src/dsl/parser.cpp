@@ -1,9 +1,12 @@
 #include <cstddef>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "src/analysis/rule_analysis.hpp"
+#include "src/core/text.hpp"
 #include "src/dsl/dsl.hpp"
 
 namespace lumi::dsl {
@@ -14,24 +17,18 @@ namespace {
   throw std::invalid_argument("dsl parse error (line " + std::to_string(line) + "): " + what);
 }
 
-/// Strict integer parse: the whole token must be a number.  std::stoi alone
-/// would accept "2x" (silently dropping the suffix) and, worse, throw a bare
-/// std::invalid_argument with no line or token context on "two".
-int parse_int(const std::string& s, int line, const std::string& what) {
-  std::size_t used = 0;
+/// A whole-token int (docs/FORMATS.md#numbers-and-tokens), or fail quoting it.
+int parse_int(std::string_view s, int line, const std::string& what) {
   int value = 0;
-  try {
-    value = std::stoi(s, &used);
-  } catch (const std::exception&) {
-    fail(line, what + " expects an integer, got '" + s + "'");
+  if (!text::parse_integer_into(s, value, std::numeric_limits<int>::min())) {
+    fail(line, what + " expects an integer, got '" + std::string(s) + "'");
   }
-  if (used != s.size()) fail(line, what + " expects an integer, got '" + s + "'");
   return value;
 }
 
-std::vector<std::string> tokenize(const std::string& line) {
+std::vector<std::string> tokenize(std::string_view line) {
   std::vector<std::string> tokens;
-  std::istringstream in(line);
+  std::istringstream in{std::string(line)};
   std::string tok;
   while (in >> tok) {
     if (tok.starts_with("#")) break;
@@ -72,14 +69,11 @@ CellPattern parse_pattern(const std::string& s, int line) {
 Vec parse_position(const std::string& s, int line) {
   // "(row,col)"
   if (s.size() < 5 || s.front() != '(' || s.back() != ')') fail(line, "bad position '" + s + "'");
-  const std::string inner = s.substr(1, s.size() - 2);
+  const std::string_view inner = std::string_view(s).substr(1, s.size() - 2);
   const std::size_t comma = inner.find(',');
   if (comma == std::string::npos) fail(line, "bad position '" + s + "'");
-  try {
-    return Vec{std::stoi(inner.substr(0, comma)), std::stoi(inner.substr(comma + 1))};
-  } catch (const std::exception&) {
-    fail(line, "bad position '" + s + "'");
-  }
+  return Vec{parse_int(inner.substr(0, comma), line, "position row"),
+             parse_int(inner.substr(comma + 1), line, "position col")};
 }
 
 void parse_rule(const std::vector<std::string>& tokens, int line, Algorithm& alg) {
@@ -142,17 +136,13 @@ Algorithm parse(const std::string& text, const ParseOptions& opts) {
   Algorithm alg;
   alg.min_rows = 2;
   alg.min_cols = 3;
-  std::istringstream in(text);
-  std::string raw;
-  int line_no = 0;
+  text::LineReader in(text, "dsl");
+  std::string_view raw;
   bool got_name = false;
-  while (std::getline(in, raw)) {
-    line_no += 1;
-    // Accept CRLF line endings and trailing whitespace: files authored on
-    // other platforms or touched by editors must parse identically.
-    while (!raw.empty() && (raw.back() == '\r' || raw.back() == ' ' || raw.back() == '\t')) {
-      raw.pop_back();
-    }
+  // CRLF endings and trailing whitespace parse identically: the reader
+  // strips the '\r' and tokenize() skips the whitespace.
+  while (in.next(raw)) {
+    const int line_no = in.lineno();
     const std::vector<std::string> tokens = tokenize(raw);
     if (tokens.empty()) continue;
     const std::string& head = tokens[0];

@@ -4,176 +4,48 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
+#include "src/core/text.hpp"
 #include "src/engine/runner.hpp"
 
 namespace lumi::obs {
 namespace {
 
-// Token escaping for single-space-separated fields, same scheme as the
-// checkpoint format (duplicated rather than shared: obs must not depend on
-// campaign).  '%' and anything outside printable-ASCII-minus-space becomes
-// %XX.  An empty string serializes as a bare "%", which the escaper never
-// emits otherwise ('%' itself encodes as "%25").
-std::string encode_token(const std::string& s) {
-  if (s.empty()) return "%";
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
-    if (c != '%' && c > 0x20 && c < 0x7f) {
-      out.push_back(static_cast<char>(c));
-    } else {
-      char buf[4];
-      std::snprintf(buf, sizeof buf, "%%%02X", c);
-      out.append(buf);
-    }
-  }
-  return out;
-}
-
-std::string decode_token(const std::string& s) {
-  if (s == "%") return "";
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '%') {
-      out.push_back(s[i]);
-      continue;
-    }
-    if (i + 2 >= s.size()) throw std::runtime_error("truncated %-escape in token");
-    const auto hex = [](char c) -> int {
-      if (c >= '0' && c <= '9') return c - '0';
-      if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-      if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-      throw std::runtime_error("bad hex digit in %-escape");
-    };
-    out.push_back(static_cast<char>(hex(s[i + 1]) * 16 + hex(s[i + 2])));
-    i += 2;
-  }
-  return out;
-}
+constexpr std::string_view kMoveLetters = "NESW";  // indexed by Dir
 
 char move_char(const std::optional<Dir>& move) {
-  if (!move) return '-';
-  switch (*move) {
-    case Dir::North: return 'N';
-    case Dir::East: return 'E';
-    case Dir::South: return 'S';
-    case Dir::West: return 'W';
-  }
-  return '-';
+  return move ? kMoveLetters[static_cast<std::size_t>(*move)] : '-';
 }
 
-std::optional<Dir> move_from_char(char c) {
-  switch (c) {
-    case '-': return std::nullopt;
-    case 'N': return Dir::North;
-    case 'E': return Dir::East;
-    case 'S': return Dir::South;
-    case 'W': return Dir::West;
-    default: throw std::runtime_error(std::string("bad move letter '") + c + "'");
-  }
+std::optional<Dir> move_field(const text::LineReader& in, std::string_view s) {
+  if (s == "-") return std::nullopt;
+  const std::size_t d = s.size() == 1 ? kMoveLetters.find(s[0]) : std::string_view::npos;
+  if (d == std::string_view::npos) in.bad("event move", s);
+  return static_cast<Dir>(d);
 }
 
-/// Line-oriented reader with keyword-anchored parse errors.
-class Reader {
- public:
-  explicit Reader(const std::string& text) : in_(text) {}
-
-  /// Next line, which must start with `key` followed by a space (or be
-  /// exactly `key`); returns the remainder after the space.
-  std::string expect(const std::string& key) {
-    std::string line = next_line(key);
-    if (line == key) return "";
-    if (line.size() > key.size() && line.compare(0, key.size(), key) == 0 &&
-        line[key.size()] == ' ') {
-      return line.substr(key.size() + 1);
-    }
-    throw std::runtime_error("lumirec line " + std::to_string(lineno_) + ": expected '" +
-                             key + " ...', got '" + line + "'");
-  }
-
-  /// Peeks whether the next line starts with `key`.
-  bool peek_is(const std::string& key) {
-    if (!peeked_) {
-      if (!std::getline(in_, peek_line_)) return false;
-      if (!peek_line_.empty() && peek_line_.back() == '\r') peek_line_.pop_back();
-      peeked_ = true;
-    }
-    return peek_line_ == key ||
-           (peek_line_.size() > key.size() && peek_line_.compare(0, key.size(), key) == 0 &&
-            peek_line_[key.size()] == ' ');
-  }
-
-  std::string raw_line() { return next_line("<line>"); }
-
-  int lineno() const { return lineno_; }
-
- private:
-  std::string next_line(const std::string& wanted) {
-    ++lineno_;
-    if (peeked_) {
-      peeked_ = false;
-      return peek_line_;
-    }
-    std::string line;
-    if (!std::getline(in_, line)) {
-      throw std::runtime_error("lumirec: unexpected end of file, wanted '" + wanted + "'");
-    }
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    return line;
-  }
-
-  std::istringstream in_;
-  std::string peek_line_;
-  bool peeked_ = false;
-  int lineno_ = 0;
-};
-
-/// Splits `rest` on single spaces into exactly `n` fields.
-std::vector<std::string> fields(const std::string& rest, std::size_t n, const char* what) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= rest.size()) {
-    const std::size_t space = rest.find(' ', start);
-    if (space == std::string::npos) {
-      out.push_back(rest.substr(start));
-      break;
-    }
-    out.push_back(rest.substr(start, space - start));
-    start = space + 1;
-  }
-  if (out.size() != n) {
-    throw std::runtime_error(std::string("lumirec: '") + what + "' wants " +
-                             std::to_string(n) + " fields, got " + std::to_string(out.size()));
-  }
-  return out;
+bool to_bool(const text::LineReader& in, std::string_view s, std::string_view what) {
+  if (s != "0" && s != "1") in.bad(what, s);
+  return s == "1";
 }
 
-long long to_ll(const std::string& s, const char* what) {
+/// `from_name(s)` for an enum spelling, failing with the quoted token where
+/// it throws std::invalid_argument.
+template <typename F>
+auto named(const text::LineReader& in, std::string_view s, std::string_view what, F from_name) {
   try {
-    std::size_t used = 0;
-    const long long v = std::stoll(s, &used);
-    if (used != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    throw std::runtime_error(std::string("lumirec: bad integer '") + s + "' in " + what);
+    return from_name(std::string(s));
+  } catch (const std::invalid_argument&) {
+    in.bad(what, s);
   }
 }
 
-bool to_bool(const std::string& s, const char* what) {
-  if (s == "0") return false;
-  if (s == "1") return true;
-  throw std::runtime_error(std::string("lumirec: bad flag '") + s + "' in " + what);
-}
-
-char single_char(const std::string& s, const char* what) {
-  if (s.size() != 1) {
-    throw std::runtime_error(std::string("lumirec: '") + s + "' in " + what +
-                             " is not a single character");
-  }
-  return s[0];
+Color color_field(const text::LineReader& in, std::string_view s, std::string_view what) {
+  return named(in, s, what, [](const std::string& t) {
+    return color_from_letter(t.size() == 1 ? t[0] : '?');
+  });
 }
 
 void serialize_robots(std::ostringstream& out, const std::vector<Robot>& robots) {
@@ -183,17 +55,18 @@ void serialize_robots(std::ostringstream& out, const std::vector<Robot>& robots)
   }
 }
 
-std::vector<Robot> parse_robots(Reader& in, long long n, const char* what) {
+std::vector<Robot> parse_robots(text::LineReader& in, const char* what) {
+  const std::size_t n = in.count(in.fields(what, 1)[0], what);
   std::vector<Robot> robots;
-  robots.reserve(static_cast<std::size_t>(n));
-  for (long long i = 0; i < n; ++i) {
-    const auto f = fields(in.expect("robot"), 4, "robot");
-    if (to_ll(f[0], what) != i) {
-      throw std::runtime_error(std::string("lumirec: ") + what + " robots out of order");
+  robots.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& f = in.fields("robot", 4);
+    if (in.integer<std::size_t>(f[0], "robot index", 0) != i) {
+      in.fail(std::string(what) + " robot '" + std::string(f[0]) + "' out of order");
     }
-    robots.push_back(Robot{.pos = {static_cast<int>(to_ll(f[1], what)),
-                                   static_cast<int>(to_ll(f[2], what))},
-                           .color = color_from_letter(single_char(f[3], what))});
+    robots.push_back(Robot{.pos = {in.integer<int>(f[1], "robot row"),
+                                   in.integer<int>(f[2], "robot col")},
+                           .color = color_field(in, f[3], "robot color")});
   }
   return robots;
 }
@@ -222,7 +95,6 @@ Recorder::Recorder() : Recorder(Options{}) {}
 
 Recorder::Recorder(Options options) : options_(options) {
   if (options_.capacity == 0) options_.capacity = 1;
-  ring_.reserve(options_.capacity);
 }
 
 void Recorder::begin_run(const Configuration& initial) {
@@ -358,30 +230,25 @@ std::string recording_serialize(const Recording& rec) {
   out << "lumirec " << rec.version << '\n';
   out << "capacity " << rec.options.capacity << '\n';
   out << "detect-cycles " << (rec.options.detect_cycles ? 1 : 0) << '\n';
-  out << "section " << encode_token(rec.prov.section) << '\n';
-  out << "scheduler " << encode_token(rec.prov.scheduler) << ' ' << rec.prov.seed << '\n';
+  out << "section " << text::encode_token(rec.prov.section) << '\n';
+  out << "scheduler " << text::encode_token(rec.prov.scheduler) << ' ' << rec.prov.seed << '\n';
   out << "dims " << rec.prov.rows << ' ' << rec.prov.cols << '\n';
-  out << "topology " << encode_token(rec.prov.topo_spec) << '\n';
+  out << "topology " << text::encode_token(rec.prov.topo_spec) << '\n';
   out << "max-steps " << rec.prov.max_steps << '\n';
   out << "unique-actions " << (rec.prov.require_unique_actions ? 1 : 0) << '\n';
   // The algorithm text rides along verbatim (dsl lines never need escaping);
   // the line count frames it so the parser needs no sentinel.
-  std::vector<std::string> alg_lines;
-  {
-    std::istringstream alg(rec.prov.algorithm_text);
-    std::string line;
-    while (std::getline(alg, line)) alg_lines.push_back(line);
-  }
+  std::vector<std::string_view> alg_lines;
+  text::LineReader alg(rec.prov.algorithm_text, "algorithm");
+  for (std::string_view line; alg.next(line);) alg_lines.push_back(line);
   out << "algorithm " << alg_lines.size() << '\n';
-  for (const std::string& line : alg_lines) out << line << '\n';
+  for (const std::string_view line : alg_lines) out << line << '\n';
   out << "init " << rec.initial.size() << '\n';
   serialize_robots(out, rec.initial);
   out << "diagnosis " << to_string(rec.diagnosis) << '\n';
   if (rec.cycle.has_value()) {
-    char hex[24];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(rec.cycle->hash));
-    out << "cycle " << rec.cycle->start << ' ' << rec.cycle->length << ' ' << hex << '\n';
+    out << "cycle " << rec.cycle->start << ' ' << rec.cycle->length << ' '
+        << text::format_hex64(rec.cycle->hash) << '\n';
   }
   out << "events-seen " << rec.events_seen << '\n';
   out << "events " << rec.events.size() << '\n';
@@ -397,7 +264,7 @@ std::string recording_serialize(const Recording& rec) {
   if (rec.failure.empty()) {
     out << "failure ok\n";
   } else {
-    out << "failure err " << encode_token(rec.failure) << '\n';
+    out << "failure err " << text::encode_token(rec.failure) << '\n';
   }
   out << "final " << rec.final_robots.size() << '\n';
   serialize_robots(out, rec.final_robots);
@@ -406,90 +273,81 @@ std::string recording_serialize(const Recording& rec) {
 }
 
 Recording recording_parse(const std::string& text) {
-  Reader in(text);
+  text::LineReader in(text, "lumirec");
   Recording rec;
-  rec.version = static_cast<int>(to_ll(in.expect("lumirec"), "lumirec"));
-  if (rec.version != 1) {
-    throw std::runtime_error("unsupported lumirec version " + std::to_string(rec.version));
-  }
-  rec.options.capacity = static_cast<std::size_t>(to_ll(in.expect("capacity"), "capacity"));
-  if (rec.options.capacity == 0) throw std::runtime_error("lumirec: capacity must be >= 1");
-  rec.options.detect_cycles = to_bool(in.expect("detect-cycles"), "detect-cycles");
-  rec.prov.section = decode_token(in.expect("section"));
+  rec.version = in.integer<int>(in.fields("lumirec", 1)[0], "version", 1, 1);
+  // The ring grows to its capacity as events arrive, so a large capacity
+  // sizes no allocation here or at replay.
+  rec.options.capacity = in.integer<std::size_t>(in.fields("capacity", 1)[0], "capacity", 1);
+  rec.options.detect_cycles = to_bool(in, in.fields("detect-cycles", 1)[0], "detect-cycles");
+  rec.prov.section = in.token(in.fields("section", 1)[0], "section");
   {
-    const auto f = fields(in.expect("scheduler"), 2, "scheduler");
-    rec.prov.scheduler = decode_token(f[0]);
-    rec.prov.seed = static_cast<unsigned>(to_ll(f[1], "scheduler seed"));
+    const auto& f = in.fields("scheduler", 2);
+    rec.prov.scheduler = in.token(f[0], "scheduler");
+    rec.prov.seed = in.integer<unsigned>(f[1], "scheduler seed", 0);
   }
   {
-    const auto f = fields(in.expect("dims"), 2, "dims");
-    rec.prov.rows = static_cast<int>(to_ll(f[0], "dims"));
-    rec.prov.cols = static_cast<int>(to_ll(f[1], "dims"));
+    const auto& f = in.fields("dims", 2);
+    rec.prov.rows = in.integer<int>(f[0], "rows");
+    rec.prov.cols = in.integer<int>(f[1], "cols");
   }
-  rec.prov.topo_spec = decode_token(in.expect("topology"));
-  rec.prov.max_steps = static_cast<long>(to_ll(in.expect("max-steps"), "max-steps"));
-  rec.prov.require_unique_actions = to_bool(in.expect("unique-actions"), "unique-actions");
-  {
-    const long long n = to_ll(in.expect("algorithm"), "algorithm");
-    std::string text_out;
-    for (long long i = 0; i < n; ++i) {
-      text_out += in.raw_line();
-      text_out += '\n';
-    }
-    rec.prov.algorithm_text = std::move(text_out);
+  rec.prov.topo_spec = in.token(in.fields("topology", 1)[0], "topology");
+  rec.prov.max_steps = in.integer<long>(in.fields("max-steps", 1)[0], "max-steps", 0);
+  rec.prov.require_unique_actions =
+      to_bool(in, in.fields("unique-actions", 1)[0], "unique-actions");
+  for (std::size_t i = 0, n = in.count(in.fields("algorithm", 1)[0], "algorithm line count");
+       i < n; ++i) {
+    rec.prov.algorithm_text += in.line("algorithm line");
+    rec.prov.algorithm_text += '\n';
   }
-  rec.initial = parse_robots(in, to_ll(in.expect("init"), "init"), "init");
-  rec.diagnosis = diagnosis_from_name(in.expect("diagnosis"));
+  rec.initial = parse_robots(in, "init");
+  rec.diagnosis = named(in, in.fields("diagnosis", 1)[0], "diagnosis", diagnosis_from_name);
   if (in.peek_is("cycle")) {
-    const auto f = fields(in.expect("cycle"), 3, "cycle");
-    Recorder::CycleWitness w;
-    w.start = static_cast<long>(to_ll(f[0], "cycle"));
-    w.length = static_cast<long>(to_ll(f[1], "cycle"));
-    w.hash = std::stoull(f[2], nullptr, 16);
-    rec.cycle = w;
+    const auto& f = in.fields("cycle", 3);
+    rec.cycle = Recorder::CycleWitness{.start = in.integer<long>(f[0], "cycle start", 0),
+                                       .length = in.integer<long>(f[1], "cycle length", 1),
+                                       .hash = in.hex64(f[2], "cycle hash")};
   }
-  rec.events_seen = to_ll(in.expect("events-seen"), "events-seen");
-  const long long kept = to_ll(in.expect("events"), "events");
-  rec.events.reserve(static_cast<std::size_t>(kept));
-  for (long long i = 0; i < kept; ++i) {
-    const auto f = fields(in.expect("ev"), 9, "ev");
+  rec.events_seen = in.integer<long long>(in.fields("events-seen", 1)[0], "events-seen", 0);
+  const std::size_t kept = in.count(in.fields("events", 1)[0], "event count");
+  rec.events.reserve(kept);
+  for (std::size_t i = 0; i < kept; ++i) {
+    const auto& f = in.fields("ev", 9);
     RecordedEvent ev;
-    ev.instant = static_cast<long>(to_ll(f[0], "ev"));
-    ev.kind = event_kind_from_name(f[1]);
-    ev.robot = static_cast<int>(to_ll(f[2], "ev"));
-    ev.rule_index = static_cast<int>(to_ll(f[3], "ev"));
-    ev.sym.rot = static_cast<std::uint8_t>(to_ll(f[4], "ev"));
-    ev.sym.mirror = to_bool(f[5], "ev");
-    ev.color_before = color_from_letter(single_char(f[6], "ev"));
-    ev.color_after = color_from_letter(single_char(f[7], "ev"));
-    ev.move = move_from_char(single_char(f[8], "ev"));
+    ev.instant = in.integer<long>(f[0], "event instant", 0);
+    ev.kind = named(in, f[1], "event kind", event_kind_from_name);
+    ev.robot = in.integer<int>(f[2], "event robot", 0);
+    ev.rule_index = in.integer<int>(f[3], "event rule", -1);
+    ev.sym.rot = in.integer<std::uint8_t>(f[4], "event rotation", 0, 3);
+    ev.sym.mirror = to_bool(in, f[5], "event mirror");
+    ev.color_before = color_field(in, f[6], "event color");
+    ev.color_after = color_field(in, f[7], "event color");
+    ev.move = move_field(in, f[8]);
     rec.events.push_back(ev);
   }
   {
-    const auto f = fields(in.expect("outcome"), 2, "outcome");
-    rec.terminated = to_bool(f[0], "outcome");
-    rec.explored_all = to_bool(f[1], "outcome");
+    const auto& f = in.fields("outcome", 2);
+    rec.terminated = to_bool(in, f[0], "outcome");
+    rec.explored_all = to_bool(in, f[1], "outcome");
   }
   {
-    const auto f = fields(in.expect("stats"), 4, "stats");
-    rec.instants = static_cast<long>(to_ll(f[0], "stats"));
-    rec.activations = static_cast<long>(to_ll(f[1], "stats"));
-    rec.moves = static_cast<long>(to_ll(f[2], "stats"));
-    rec.color_changes = static_cast<long>(to_ll(f[3], "stats"));
-  }
-  {
-    const std::string rest = in.expect("failure");
-    if (rest == "ok") {
-      rec.failure.clear();
-    } else if (rest.starts_with("err ")) {
-      rec.failure = decode_token(rest.substr(4));
-      if (rec.failure.empty()) throw std::runtime_error("lumirec: empty 'failure err'");
-    } else {
-      throw std::runtime_error("lumirec: bad failure line '" + rest + "'");
+    const auto& f = in.fields("stats", 4);
+    long* stats[] = {&rec.instants, &rec.activations, &rec.moves, &rec.color_changes};
+    for (std::size_t k = 0; k < std::size(stats); ++k) {
+      *stats[k] = in.integer<long>(f[k], "stats", 0);
     }
   }
-  rec.final_robots = parse_robots(in, to_ll(in.expect("final"), "final"), "final");
-  if (!in.expect("end").empty()) throw std::runtime_error("lumirec: malformed end marker");
+  {
+    const auto& f = in.fields("failure");
+    if (f.size() == 2 && f[0] == "err") {
+      rec.failure = in.token(f[1], "failure");
+      if (rec.failure.empty()) in.fail("empty 'failure err'");
+    } else if (f.size() != 1 || f[0] != "ok") {
+      in.fail("expected 'failure ok' or 'failure err <token>'");
+    }
+  }
+  rec.final_robots = parse_robots(in, "final");
+  in.fields("end", 0);
   return rec;
 }
 

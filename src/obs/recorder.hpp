@@ -87,6 +87,7 @@ class Recorder {
  public:
   struct Options {
     /// Ring slots: the newest `capacity` events survive (clamped to >= 1).
+    /// The ring grows to it as events arrive; nothing is reserved up front.
     std::size_t capacity = 4096;
     /// Track a seen-hash map of instant-boundary configurations and record
     /// the first canonical_hash recurrence.  Only a *proof* of

@@ -11,10 +11,13 @@
 
 #include "src/algorithms/registry.hpp"
 #include "src/campaign/thread_pool.hpp"
+#include "src/core/text.hpp"
 #include "src/trace/report.hpp"
 
 namespace lumi::campaign {
 namespace {
+
+using text::parse_integer;
 
 // --- thread pool ------------------------------------------------------------
 

@@ -142,6 +142,8 @@ TEST(Dsl, MalformedIntegersQuoteTheToken) {
   expect_quoted("algorithm x\nphi 2x\n", "2x");    // stoi alone would accept this
   expect_quoted("algorithm x\ncolors many\n", "many");
   expect_quoted("algorithm x\nmin-grid 2 wide\n", "wide");
+  expect_quoted("algorithm x\ninit (0x,0y)=G\n", "0x");  // stoi read this as (0,0)
+  expect_quoted("algorithm x\nphi +1\n", "+1");
 }
 
 TEST(Dsl, ValidateOffLoadsDefectiveTables) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <set>
 #include <stdexcept>
@@ -102,6 +103,40 @@ TEST(Checkpoint, MalformedInputsThrow) {
   std::string wrong_version = good;
   wrong_version.replace(wrong_version.find(" v2"), 3, " v9");
   EXPECT_THROW(checkpoint_parse(wrong_version), std::runtime_error);
+
+  // Each malformed line below is rejected naming its line and quoting the
+  // offending token.  Istream parsing wrapped, truncated or ignored them, and
+  // the huge counts escaped from reserve() as std::length_error.
+  const auto line_of = [&good](const char* key) {
+    const std::size_t at = good.find(std::string("\n") + key + " ") + 1;
+    return good.substr(at, good.find('\n', at) - at + 1);
+  };
+  const auto expect_rejected = [&good](const std::string& from, const std::string& to,
+                                       const std::string& token) {
+    const std::size_t at = good.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    std::string text = good;
+    text.replace(at, from.size(), to);
+    const std::string line =
+        "line " + std::to_string(1 + std::count(text.begin(), text.begin() + at, '\n')) + ":";
+    try {
+      checkpoint_parse(text);
+      ADD_FAILURE() << "accepted " << to;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find(token), std::string::npos) << e.what();
+    }
+  };
+  expect_rejected("seeds 0\n", "seeds 1 -1\n", "'-1'");
+  expect_rejected("seeds 0\n", "seeds 1 +1\n", "'+1'");
+  expect_rejected("seeds 0\n", "seeds 0 7\n", "'seeds 0 7'");
+  expect_rejected("seeds 0\n", "seeds 18446744073709551615\n", "'18446744073709551615'");
+  expect_rejected("acc 0 0 0 0\n", "acc 0 0 0 0 9\n", "'acc 0 0 0 0 9'");
+  expect_rejected("acc 0 0 0 0\n", "acc -5 0 0 0\n", "'-5'");
+  expect_rejected(line_of("fingerprint"), "fingerprint 00000000000000zz\n",
+                  "'00000000000000zz'");
+  expect_rejected(line_of("cells"), "cells 18446744073709551615\n", "'18446744073709551615'");
+  expect_rejected(line_of("cells"), "cells 9223372036854775807\n", "'9223372036854775807'");
 }
 
 TEST(Checkpoint, NonHexEscapesAreRejected) {
@@ -110,7 +145,7 @@ TEST(Checkpoint, NonHexEscapesAreRejected) {
   cell.cell = Cell{"name\nwith newline", 4, 5, SchedKind::Fsync};
   ck.cells.push_back(cell);
   std::string text = checkpoint_serialize(ck);
-  const std::size_t escape = text.find("%0a");
+  const std::size_t escape = text.find("%0A");
   ASSERT_NE(escape, std::string::npos);
   // strtol would happily parse "-1"; the parser must reject it instead of
   // decoding a wrong byte.

@@ -209,6 +209,49 @@ TEST(RecorderFormat, LoadMalformedFileThrows) {
     out << "not-a-recording\n";
   }
   EXPECT_THROW((void)obs::recording_load(path), std::runtime_error);
+
+  // Each malformed field below is rejected naming its line and quoting the
+  // offending token.  The old reader wrapped, truncated or mis-typed them,
+  // and the negative counts escaped from reserve() as std::length_error.
+  const std::string good = obs::recording_serialize(
+      record_section("4.2.1", "grid", SchedKind::Fsync, 1, 100000));
+  const auto expect_rejected = [&](const std::string& key, const std::string& line,
+                                   const std::string& token) {
+    const std::size_t at = good.find("\n" + key) + 1;  // the line starting with `key`
+    ASSERT_NE(at, 0u) << key;
+    const std::string text = good.substr(0, at) + line + good.substr(good.find('\n', at));
+    const auto lineno =
+        1 + std::count(text.begin(), text.begin() + static_cast<long>(text.find(token, at)), '\n');
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    try {
+      (void)obs::recording_load(path);
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line " + std::to_string(lineno) + ":"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + token + "'"), std::string::npos) << what;
+    }
+  };
+  expect_rejected("dims ", "dims 4294967298 3", "4294967298");
+  expect_rejected("scheduler ", "scheduler fsync -1", "-1");
+  expect_rejected("diagnosis ", "diagnosis cycle\ncycle 0 1 12junk", "12junk");
+  expect_rejected("diagnosis ", "diagnosis cycle\ncycle 0 1 zz", "zz");
+  expect_rejected("capacity ", "capacity -1", "-1");
+  expect_rejected("events ", "events -1", "-1");
+  // "init 2", the two-robot count: the embedded DSL's own init line comes first.
+  expect_rejected("init 2\n", "init -1", "-1");
+  {
+    // Rotation is the fifth operand of an ev line: 257 must not wrap to 1.
+    const std::size_t at = good.find("\nev ") + 1;
+    std::string ev = good.substr(at, good.find('\n', at) - at);
+    std::size_t rot = 0;
+    for (int k = 0; k < 5; ++k) rot = ev.find(' ', rot) + 1;
+    ev.replace(rot, ev.find(' ', rot) - rot, "257");
+    expect_rejected("ev ", ev, "257");
+  }
 }
 
 // --- doctor rendering -------------------------------------------------------

@@ -176,6 +176,23 @@ RULES = [
         ),
     ),
     Rule(
+        name="raw-int-parse",
+        summary="C library integer parsing outside src/core/text.cpp",
+        pattern=re.compile(
+            r"\b(?:sto(?:i|l|ll|ul|ull)|strto(?:l|ll|ul|ull)|ato(?:i|l|ll))\b"
+        ),
+        include=["src/*", "examples/*"],
+        exempt=["src/core/text.cpp"],
+        message=(
+            "integers from files and flags go through text::parse_integer "
+            "(src/core/text.hpp): std::stoi and friends accept '+1', leading "
+            "whitespace and trailing garbage, strtoul wraps '-1' to a huge "
+            "value, and atoi cannot report an error at all.  One grammar, "
+            "checked against each field's real range, is what the parsers "
+            "share (docs/FORMATS.md#numbers-and-tokens)"
+        ),
+    ),
+    Rule(
         name="relaxed-atomic",
         summary="memory_order_relaxed without an allow comment",
         pattern=re.compile(r"\bmemory_order_relaxed\b"),
