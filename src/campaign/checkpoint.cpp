@@ -1,6 +1,7 @@
 #include "src/campaign/checkpoint.hpp"
 
 #include <array>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -29,11 +30,12 @@ auto stats_of(Acc& acc) {
                     &acc.visited};
 }
 
-void serialize_stat(std::ostringstream& out, const char* name, const LongStat& s) {
-  out << "stat " << name << ' ' << s.count << ' ' << s.sum << ' ' << s.sum_squares << ' ' << s.min
-      << ' ' << s.max;
-  for (long h : s.histogram) out << ' ' << h;
-  out << '\n';
+/// Appends ' ' and the decimal digits of `value`.
+template <typename Int>
+void append_field(std::string& out, Int value) {
+  char buf[24];  // a 64-bit integer has at most 20 digits and a sign
+  out += ' ';
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
 }
 
 }  // namespace
@@ -72,26 +74,40 @@ Checkpoint make_checkpoint(const Expansion& expansion) {
 }
 
 std::string checkpoint_serialize(const Checkpoint& checkpoint) {
-  std::ostringstream out;
-  out << kMagic << ' ' << kVersion << '\n';
-  out << "fingerprint " << text::format_hex64(checkpoint.fingerprint) << '\n';
-  out << "cells " << checkpoint.cells.size() << '\n';
+  std::string out;
+  out.append(kMagic).append(" ").append(kVersion);
+  out.append("\nfingerprint ").append(text::format_hex64(checkpoint.fingerprint));
+  out.append("\ncells");
+  append_field(out, checkpoint.cells.size());
   for (std::size_t i = 0; i < checkpoint.cells.size(); ++i) {
     const CheckpointCell& c = checkpoint.cells[i];
-    out << "cell " << i << ' ' << c.cell.rows << ' ' << c.cell.cols << ' '
-        << to_string(c.cell.sched) << ' ' << text::encode_token(c.cell.topo) << ' '
-        << text::encode_token(c.cell.section) << '\n';
-    out << "acc " << c.acc.runs << ' ' << c.acc.terminated << ' ' << c.acc.explored_all << ' '
-        << c.acc.failures << '\n';
-    for (std::size_t s = 0; s < std::size(kStatNames); ++s) {
-      serialize_stat(out, kStatNames[s], *stats_of(c.acc)[s]);
+    out.append("\ncell");
+    append_field(out, i);
+    append_field(out, c.cell.rows);
+    append_field(out, c.cell.cols);
+    out.append(" ").append(to_string(c.cell.sched));
+    out.append(" ").append(text::encode_token(c.cell.topo));
+    out.append(" ").append(text::encode_token(c.cell.section));
+    out.append("\nacc");
+    for (const long n : {c.acc.runs, c.acc.terminated, c.acc.explored_all, c.acc.failures}) {
+      append_field(out, n);
     }
-    out << "seeds " << c.seeds_done.size();
-    for (unsigned seed : c.seeds_done) out << ' ' << seed;
-    out << '\n';
+    for (std::size_t s = 0; s < std::size(kStatNames); ++s) {
+      const LongStat& stat = *stats_of(c.acc)[s];
+      out.append("\nstat ").append(kStatNames[s]);
+      append_field(out, stat.count);
+      append_field(out, stat.sum);
+      append_field(out, stat.sum_squares);
+      append_field(out, stat.min);
+      append_field(out, stat.max);
+      for (const long h : stat.histogram) append_field(out, h);
+    }
+    out.append("\nseeds");
+    append_field(out, c.seeds_done.size());
+    for (const unsigned seed : c.seeds_done) append_field(out, seed);
   }
-  out << "end\n";
-  return out.str();
+  out.append("\nend\n");
+  return out;
 }
 
 Checkpoint checkpoint_parse(const std::string& text) {

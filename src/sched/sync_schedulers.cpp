@@ -12,9 +12,7 @@ Action pick_action(rng::Engine& rng, bool randomize, const std::vector<Action>& 
 }  // namespace
 
 FsyncScheduler::FsyncScheduler(unsigned seed, bool randomize_choice)
-    : randomize_choice_(randomize_choice) {
-  if (randomize_choice) rng_.emplace(seed);
-}
+    : rng_(seed), randomize_choice_(randomize_choice) {}
 
 std::vector<RobotAction> FsyncScheduler::select(
     const Configuration& config, const std::vector<std::vector<Action>>& enabled) {
@@ -31,7 +29,7 @@ void FsyncScheduler::select_into(const Configuration&,
   for (std::size_t i = 0; i < enabled.size(); ++i) {
     if (enabled[i].empty()) continue;
     out.push_back(RobotAction{static_cast<int>(i),
-                              randomize_choice_ ? pick_action(*rng_, true, enabled[i])
+                              randomize_choice_ ? pick_action(rng_, true, enabled[i])
                                                 : enabled[i].front()});
   }
 }

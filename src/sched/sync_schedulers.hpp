@@ -6,7 +6,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/core/rng.hpp"
@@ -53,10 +52,7 @@ class FsyncScheduler final : public SyncScheduler {
   std::string name() const override { return "fsync"; }
 
  private:
-  /// Seeded only when randomize_choice: engine construction writes ~2500
-  /// words — a measurable share of a whole micro-run — and the default
-  /// first-behavior FSYNC adversary never draws from it.
-  std::optional<rng::Engine> rng_;
+  rng::Engine rng_;
   bool randomize_choice_;
 };
 

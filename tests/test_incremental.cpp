@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <random>
-
 #include "src/algorithms/registry.hpp"
 #include "src/campaign/campaign.hpp"
 #include "src/core/rng.hpp"
@@ -51,7 +49,7 @@ void expect_tracker_matches_references(const Algorithm& alg, const CompiledAlgor
 }
 
 TEST(DirtyTracker, MatchesCompiledAndNaiveOverRandomizedSyncRuns) {
-  std::mt19937 rng(20260729);
+  rng::Engine rng(20260729);
   for (const algorithms::TableEntry& e : algorithms::table1()) {
     const Algorithm alg = e.make();
     const std::shared_ptr<const CompiledAlgorithm> compiled = CompiledAlgorithm::get(alg);
@@ -134,7 +132,7 @@ TEST(DirtyTracker, JournalIsOptInAndDrained) {
 }
 
 TEST(IncrementalEngines, AsyncEngineIdenticalWithTrackingOnAndOff) {
-  std::mt19937 rng(7);
+  rng::Engine rng(7);
   for (const algorithms::TableEntry& e : algorithms::table1()) {
     const Algorithm alg = e.make();
     const Grid grid(alg.min_rows + 1, alg.min_cols + 1);

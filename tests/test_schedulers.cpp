@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "src/algorithms/algorithms.hpp"
 #include "src/campaign/campaign.hpp"
 #include "src/core/rng.hpp"
 #include "src/engine/runner.hpp"
+#include "src/trace/report.hpp"
 
 namespace lumi {
 namespace {
@@ -63,28 +70,53 @@ TEST(AsyncCentralized, FinishesStartedCyclesFirst) {
 // --- cross-platform determinism ---------------------------------------------
 //
 // Scheduler randomness goes through the in-repo Lemire bounded draw over
-// std::mt19937 (whose output stream the standard pins down exactly), never
-// through std::uniform_int_distribution / std::shuffle, whose algorithms
-// differ between libstdc++ and libc++.  The golden sequences below therefore
-// hold on every compiler and platform; a failure means scheduler decisions —
-// and with them campaign reports and checkpoints — stopped being portable.
+// rng::Engine, which must reproduce std::mt19937's output stream (pinned
+// down exactly by the standard), never through
+// std::uniform_int_distribution / std::shuffle, whose algorithms differ
+// between libstdc++ and libc++.  The golden sequences below therefore hold
+// on every compiler and platform; a failure means scheduler decisions — and
+// with them campaign reports and checkpoints — stopped being portable.
+
+static_assert(std::uniform_random_bit_generator<rng::Engine>);
+
+TEST(PortableRng, EngineMatchesStdMt19937) {
+  // The lazy engine against the standard engine as the oracle, over three
+  // full twist rounds: the first round (lazy seeding ahead of the twist),
+  // the round boundary, and rounds that twist only already-twisted words.
+  std::vector<std::uint32_t> seeds{0u, 1u, 5489u, 42u, 0xffffffffu};
+  for (std::uint32_t i = 0; i < 1024; ++i) seeds.push_back(i * 0x9e3779b9u + 0x7f4a7c15u);
+  constexpr int kDraws = 3 * 624 + 5;
+  for (const std::uint32_t seed : seeds) {
+    rng::Engine engine(seed);
+    std::mt19937 oracle(seed);
+    for (int d = 0; d < kDraws; ++d) {
+      const std::uint32_t want = static_cast<std::uint32_t>(oracle());
+      ASSERT_EQ(engine(), want) << "seed " << seed << ", draw " << d;
+    }
+  }
+  rng::Engine default_seeded;
+  std::mt19937 default_oracle;
+  for (int d = 0; d < kDraws; ++d) {
+    ASSERT_EQ(default_seeded(), static_cast<std::uint32_t>(default_oracle())) << "draw " << d;
+  }
+}
 
 TEST(PortableRng, BoundedDrawGoldenSequences) {
-  std::mt19937 a(42);
+  rng::Engine a(42);
   const std::uint32_t want_a[] = {3, 7, 9, 1, 7, 7, 5, 5};
   for (std::uint32_t want : want_a) EXPECT_EQ(bounded_draw(a, 10), want);
 
-  std::mt19937 b(7);
+  rng::Engine b(7);
   const std::uint32_t want_b[] = {0, 0, 2, 0, 1, 2, 2, 1};
   for (std::uint32_t want : want_b) EXPECT_EQ(bounded_draw(b, 3), want);
 
   // n = 1 never consumes entropy-rejection retries and always yields 0.
-  std::mt19937 c(1);
+  rng::Engine c(1);
   for (int i = 0; i < 4; ++i) EXPECT_EQ(bounded_draw(c, 1), 0u);
 }
 
 TEST(PortableRng, BoundedDrawStaysInRange) {
-  std::mt19937 rng(2026);
+  rng::Engine rng(2026);
   for (std::uint32_t n : {1u, 2u, 3u, 5u, 7u, 1000u}) {
     for (int i = 0; i < 200; ++i) EXPECT_LT(bounded_draw(rng, n), n);
   }
@@ -92,13 +124,13 @@ TEST(PortableRng, BoundedDrawStaysInRange) {
 
 TEST(PortableRng, FisherYatesGoldenPermutation) {
   std::vector<int> v{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  std::mt19937 rng(7);
+  rng::Engine rng(7);
   fisher_yates(v, rng);
   const std::vector<int> want{9, 3, 1, 5, 4, 7, 8, 6, 2, 0};
   EXPECT_EQ(v, want);
 
   std::vector<int> tiny{1};
-  std::mt19937 rng2(7);
+  rng::Engine rng2(7);
   fisher_yates(tiny, rng2);  // size <= 1: no draws, no out-of-range access
   EXPECT_EQ(tiny, std::vector<int>{1});
 }
@@ -142,6 +174,28 @@ TEST(Schedulers, GoldenEndToEndRunStats) {
   EXPECT_TRUE(async.ok());
   EXPECT_EQ(async.stats.instants, 93);
   EXPECT_EQ(async.stats.moves, 30);
+}
+
+TEST(Schedulers, GoldenCampaignReportHash) {
+  // Every scheduler over every section on the 3..4 grids, eight seeds each:
+  // any change to a scheduler's draw stream, or to the engine under it,
+  // changes these report bytes.  They were produced with std::mt19937 as
+  // the engine, so they also hold rng::Engine to the standard stream.
+  campaign::Matrix matrix;
+  matrix.sections = campaign::all_sections();
+  matrix.rows = campaign::IntRange{3, 4};
+  matrix.cols = campaign::IntRange{3, 4};
+  matrix.schedulers.assign(std::begin(campaign::kAllSchedKinds),
+                           std::end(campaign::kAllSchedKinds));
+  matrix.seeds = {1, 2, 3, 4, 5, 6, 7, 8};
+  const std::string json = campaign_json(campaign::run_campaign(matrix, 2));
+  std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a 64
+  for (const char c : json) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  EXPECT_EQ(json.size(), 141544u);
+  EXPECT_EQ(hash, 0xb3e0c2b6749ac239ULL);
 }
 
 TEST(AsyncSchedulers, RunnersProduceDeterministicResultsPerSeed) {

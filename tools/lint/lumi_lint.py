@@ -68,19 +68,20 @@ REPORT_PATHS = [
 RULES = [
     Rule(
         name="banned-rng",
-        summary="raw RNG primitives outside src/core/rng.hpp",
+        summary="standard RNG engines, distributions and shuffles in src/",
         pattern=re.compile(
             r"std::uniform_int_distribution|std::uniform_real_distribution"
             r"|std::shuffle\b|std::random_device|std::mt19937(?:_64)?\b"
+            r"|std::\w+_engine\b|std::minstd_rand0?\b|std::ranlux\w*|std::knuth_b\b"
             r"|\b(?:s)?rand\s*\("
         ),
         include=["src/*"],
-        exempt=["src/core/rng.hpp"],
         message=(
             "random decisions must flow through src/core/rng.hpp (rng::Engine, "
             "bounded_draw, fisher_yates): std::uniform_int_distribution and "
             "friends are implementation-defined, so direct use breaks "
-            "cross-platform byte-identity (see docs/DETERMINISM.md#rng-discipline)"
+            "cross-platform byte-identity, and rng::Engine is the one engine "
+            "whose stream is pinned (see docs/DETERMINISM.md#rng-discipline)"
         ),
     ),
     Rule(
@@ -381,8 +382,9 @@ def run_lint(root: Path, paths: list[str], json_path: str | None) -> int:
 
 
 def run_self_test(fixtures: Path) -> int:
-    """Each fixtures/<rule>/ holds bad/ (≥1 finding, all of <rule>) and
-    clean/ (0 findings) mini-trees; every shipped rule must have both."""
+    """Each fixtures/<rule>/ holds bad/ (≥1 finding in every file, all of
+    <rule>) and clean/ (0 findings) mini-trees; every shipped rule must have
+    both."""
     failures: list[str] = []
     cases = sorted(p for p in fixtures.iterdir() if p.is_dir()) if fixtures.is_dir() else []
     fixture_rules = {p.name for p in cases}
@@ -401,10 +403,11 @@ def run_self_test(fixtures: Path) -> int:
             found: list[Finding] = []
             for f in iter_sources(tree, []):
                 rel = f.relative_to(tree).as_posix()
-                found.extend(lint_file(f, rel, RULES))
+                in_file = lint_file(f, rel, RULES)
+                if expect_bad and not in_file:
+                    failures.append(f"{case.name}/bad: expected ≥1 finding in {rel}, got none")
+                found.extend(in_file)
             if expect_bad:
-                if not found:
-                    failures.append(f"{case.name}/bad: expected ≥1 finding, got none")
                 for f in found:
                     if f.rule != case.name:
                         failures.append(
