@@ -162,8 +162,8 @@ int main(int argc, char** argv) {
       });
   const double speedup = naive_ns / compiled_ns;
 
-  // Guard-plane prefilter: scalar reference vs the build/CPU-selected kernel
-  // (AVX2 when compiled in and supported; otherwise the two coincide).
+  // Guard-plane prefilter: scalar reference vs guard_pass_mask (the SSE2
+  // kernel on x86-64; on targets without SSE2 the two coincide).
   const long guard_iterations = iterations * 8;
   const double guard_scalar_ns =
       measure_ns_per_guard_sweep(workloads, guard_iterations, guard_pass_mask_scalar);

@@ -46,8 +46,8 @@ int main() {
         ok = ok && r.ok();
       }
       const char* name = family == 0   ? "async-random"
-                         : family == 1 ? "async-centralized"
-                                       : "async-stale-stress";
+                         : family == 1 ? "async-central"
+                                       : "async-stress";
       std::printf("%-10s %-20s %8ld %8ld %8ld %s\n", section, name, events / seeds,
                   moves / seeds, recolors / seeds, ok ? "ok" : "FAILED");
       all_ok = all_ok && ok;

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <charconv>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -178,15 +177,7 @@ Checkpoint checkpoint_parse(const std::string& text) {
 }
 
 bool checkpoint_write(const std::string& path, const Checkpoint& checkpoint) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out << checkpoint_serialize(checkpoint);
-    out.flush();
-    if (!out) return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return text::write_file_atomic(path, checkpoint_serialize(checkpoint));
 }
 
 std::optional<Checkpoint> checkpoint_load(const std::string& path) {

@@ -4,6 +4,10 @@
 #include <string>
 #include <unordered_map>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace lumi {
 
 namespace {
@@ -152,13 +156,42 @@ std::uint32_t guard_pass_mask_scalar(const GuardGroup& group, SnapshotPlanes pla
   return mask;
 }
 
+#if defined(__SSE2__)
+
+bool guard_simd_available() { return true; }
+
 std::uint32_t guard_pass_mask(const GuardGroup& group, SnapshotPlanes planes, std::size_t base) {
-  // One-time probe; afterwards a perfectly predicted branch.  The AVX2 TU is
-  // compiled with vector flags, so this baseline-ISA TU owns the dispatch.
-  static const bool simd = guard_simd_available();
-  if (simd) return guard_pass_mask_avx2(group, planes, base);
+  // A lane survives iff
+  //   (need_occ & ~occ) | (forbid_occ & occ) | (need_wall & ~wall) | (forbid_wall & wall) == 0
+  // evaluated for 8 u16 lanes per half against the broadcast snapshot planes.
+  const __m128i occ = _mm_set1_epi16(static_cast<short>(planes.occupied));
+  const __m128i wall = _mm_set1_epi16(static_cast<short>(planes.wall));
+  const auto pass_half = [&](std::size_t at) {
+    const auto load = [at](const std::vector<std::uint16_t>& plane) {
+      return _mm_loadu_si128(reinterpret_cast<const __m128i*>(plane.data() + at));
+    };
+    const __m128i reject = _mm_or_si128(
+        _mm_or_si128(_mm_andnot_si128(occ, load(group.need_occupied)),
+                     _mm_and_si128(load(group.forbid_occupied), occ)),
+        _mm_or_si128(_mm_andnot_si128(wall, load(group.need_wall)),
+                     _mm_and_si128(load(group.forbid_wall), wall)));
+    return _mm_cmpeq_epi16(reject, _mm_setzero_si128());
+  };
+  // packs saturates the pass words (0 or -1) to bytes, lanes 0..7 then
+  // 8..15, so movemask's 16 bits are the survivor mask in lane order.
+  const __m128i packed = _mm_packs_epi16(pass_half(base), pass_half(base + 8));
+  return static_cast<std::uint32_t>(_mm_movemask_epi8(packed));
+}
+
+#else  // no SSE2 (non-x86 targets): the scalar reference is the kernel
+
+bool guard_simd_available() { return false; }
+
+std::uint32_t guard_pass_mask(const GuardGroup& group, SnapshotPlanes planes, std::size_t base) {
   return guard_pass_mask_scalar(group, planes, base);
 }
+
+#endif
 
 std::shared_ptr<const CompiledAlgorithm> CompiledAlgorithm::get(const Algorithm& alg) {
   static std::mutex mu;

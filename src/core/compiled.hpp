@@ -62,8 +62,9 @@ struct CompiledRule {
   }
 };
 
-/// Lanes per guard-plane block: 16 u16 planes fill one 256-bit register, so
-/// the vector kernel judges 16 (rule, symmetry) slots per compare sequence.
+/// Lanes per guard-plane block: 16 u16 planes fill two 128-bit SSE2
+/// registers, so the vector kernel judges 16 (rule, symmetry) slots per
+/// compare-and-pack sequence.
 inline constexpr std::size_t kGuardLaneBlock = 16;
 
 /// Structure-of-arrays guard-plane prefilter over one self-color rule group.
@@ -85,20 +86,16 @@ struct GuardGroup {
 /// one block of kGuardLaneBlock lanes.  `base` must be block-aligned and
 /// within the padded arrays.  A set bit means the snapshot *may* match the
 /// lane's dense row; a clear bit proves it cannot.  The scalar reference and
-/// the dispatching entry point are differentially pinned against each other
+/// the vector entry point are differentially pinned against each other
 /// (tests/test_guard_simd.cpp).
 std::uint32_t guard_pass_mask_scalar(const GuardGroup& group, SnapshotPlanes planes,
                                      std::size_t base);
-/// AVX2 kernel; defined as a scalar delegate when the build excludes SIMD
-/// (so the symbol always links).  Call only when guard_simd_available().
-std::uint32_t guard_pass_mask_avx2(const GuardGroup& group, SnapshotPlanes planes,
-                                   std::size_t base);
-/// True when the vector kernel is compiled in AND the CPU supports it; the
-/// build-time switch is -DLUMI_FORCE_SCALAR_GUARDS (CMake option of the same
-/// name), which pins the portable scalar path.
+/// True when guard_pass_mask runs the SSE2 kernel.  SSE2 is part of the
+/// x86-64 baseline, so that is every x86-64 build; on targets without it
+/// (`__SSE2__` undefined) guard_pass_mask is the scalar reference.
 bool guard_simd_available();
-/// Build-time-selected entry point: the AVX2 kernel when available, the
-/// scalar reference otherwise.  Verdicts are bit-identical either way.
+/// The prefilter the matcher calls: the SSE2 kernel where the target has
+/// it, the scalar reference otherwise.  Verdicts are bit-identical.
 std::uint32_t guard_pass_mask(const GuardGroup& group, SnapshotPlanes planes, std::size_t base);
 
 class CompiledAlgorithm {

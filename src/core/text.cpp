@@ -1,6 +1,7 @@
 #include "src/core/text.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <stdexcept>
 
 namespace lumi::text {
@@ -93,6 +94,18 @@ std::optional<std::string> decode_token(std::string_view token) {
     i += 2;
   }
   return out;
+}
+
+bool write_file_atomic(const std::string& path, std::string_view bytes) {
+  const std::string tmp = path + ".tmp";
+  std::FILE* out = std::fopen(tmp.c_str(), "wb");
+  if (out == nullptr) return false;
+  const bool written = std::fwrite(bytes.data(), 1, bytes.size(), out) == bytes.size();
+  if (std::fclose(out) == 0 && written && std::rename(tmp.c_str(), path.c_str()) == 0) {
+    return true;
+  }
+  std::remove(tmp.c_str());
+  return false;
 }
 
 LineReader::LineReader(std::string_view text, std::string format)

@@ -1,7 +1,8 @@
 // The one reader behind every text format taken from outside: the algorithm
 // DSL, topology specs, checkpoint v2, `.lumirec` recordings and the CLIs'
 // numeric flags share its integer grammar, 16-hex-digit hashes, %XX token
-// codec and numbered line reader (docs/FORMATS.md#numbers-and-tokens).  A
+// codec and numbered line reader (docs/FORMATS.md#numbers-and-tokens), and
+// the checkpoint and recording writers share its atomic file writer.  A
 // bottom-layer module: any layer may include it, and it includes nothing of
 // the repo.  lumi-lint's raw-int-parse rule keeps other integer parsers out.
 #pragma once
@@ -49,6 +50,11 @@ std::string encode_token(std::string_view s);
 /// Inverse of encode_token, accepting either hex case; std::nullopt on a
 /// truncated or non-hex escape.
 std::optional<std::string> decode_token(std::string_view token);
+
+/// Writes `bytes` to `path + ".tmp"` and renames it onto `path`, so a reader
+/// sees the old file or the new one, never a torn write.  False when the
+/// write or the rename fails; the temporary is then removed.
+bool write_file_atomic(const std::string& path, std::string_view bytes);
 
 /// Numbered lines of a text that must outlive the reader.  A trailing '\r'
 /// is dropped; every failure throws std::runtime_error

@@ -1,6 +1,5 @@
 #include "src/obs/recorder.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -352,15 +351,7 @@ Recording recording_parse(const std::string& text) {
 }
 
 bool recording_write(const std::string& path, const Recording& rec) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out << recording_serialize(rec);
-    out.flush();
-    if (!out.good()) return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return text::write_file_atomic(path, recording_serialize(rec));
 }
 
 std::optional<Recording> recording_load(const std::string& path) {

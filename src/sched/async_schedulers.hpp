@@ -46,7 +46,7 @@ class AsyncCentralizedScheduler final : public AsyncScheduler {
   AsyncCentralizedScheduler() = default;
   int pick_robot(const AsyncEngine&, const std::vector<int>&) override;
   Action pick_action(const AsyncEngine&, int, const std::vector<Action>&) override;
-  std::string name() const override { return "async-centralized"; }
+  std::string name() const override { return "async-central"; }
 
  private:
   int next_ = 0;
@@ -60,7 +60,7 @@ class AsyncStaleStressScheduler final : public AsyncScheduler {
   explicit AsyncStaleStressScheduler(unsigned seed);
   int pick_robot(const AsyncEngine&, const std::vector<int>&) override;
   Action pick_action(const AsyncEngine&, int, const std::vector<Action>&) override;
-  std::string name() const override { return "async-stale-stress"; }
+  std::string name() const override { return "async-stress"; }
 
  private:
   rng::Engine rng_;

@@ -81,7 +81,7 @@ class SsyncRoundRobinScheduler final : public SyncScheduler {
                                   const std::vector<std::vector<Action>>&) override;
   void select_into(const Configuration&, const std::vector<std::vector<Action>>&,
                    std::vector<RobotAction>& out) override;
-  std::string name() const override { return "ssync-round-robin"; }
+  std::string name() const override { return "ssync-rr"; }
 
  private:
   int next_ = 0;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <set>
 #include <stdexcept>
 
@@ -163,6 +164,16 @@ TEST(Checkpoint, WriteThenLoadRoundTrips) {
   EXPECT_EQ(*loaded, ck);
   std::remove(path.c_str());
   EXPECT_FALSE(checkpoint_load(path).has_value());
+
+  // A write that cannot land (the path is a directory, so the rename
+  // fails) reports false and leaves no temporary behind.
+  const std::string dir = temp_path("roundtrip-onto-dir.ckpt");
+  std::filesystem::create_directories(dir);
+  std::filesystem::remove(dir + ".tmp");
+  EXPECT_FALSE(checkpoint_write(dir, ck));
+  EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(dir));
+  std::filesystem::remove(dir);
 }
 
 TEST(Checkpoint, FingerprintSeparatesMatrices) {

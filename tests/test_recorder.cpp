@@ -191,6 +191,16 @@ TEST(RecorderFormat, WriteThenLoadRoundTrips) {
   const auto loaded = obs::recording_load(path);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(*loaded, rec);
+
+  // A write that cannot land (the path is a directory, so the rename
+  // fails) reports false and leaves no temporary behind.
+  const std::string dir = temp_path("recorder_roundtrip_onto_dir.lumirec");
+  std::filesystem::create_directories(dir);
+  std::filesystem::remove(dir + ".tmp");
+  EXPECT_FALSE(obs::recording_write(dir, rec));
+  EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(dir));
+  std::filesystem::remove(dir);
 }
 
 TEST(RecorderFormat, LoadMissingFileIsNullopt) {

@@ -198,6 +198,33 @@ TEST(Schedulers, GoldenCampaignReportHash) {
   EXPECT_EQ(hash, 0xb3e0c2b6749ac239ULL);
 }
 
+TEST(Schedulers, NamesMatchCampaignSpellings) {
+  // name() is what verify_sweep prints; campaign::sched_from_name (and so
+  // every CLI's --sched/--scheds) must read it back as the same kind.
+  using campaign::SchedKind;
+  const FsyncScheduler fsync;
+  const SsyncRandomScheduler ssync_random(1);
+  const SsyncRoundRobinScheduler ssync_rr;
+  const AsyncRandomScheduler async_random(1);
+  const AsyncCentralizedScheduler async_central;
+  const AsyncStaleStressScheduler async_stress(1);
+  const struct {
+    std::string name;
+    SchedKind kind;
+  } table[] = {
+      {fsync.name(), SchedKind::Fsync},
+      {ssync_random.name(), SchedKind::SsyncRandom},
+      {ssync_rr.name(), SchedKind::SsyncRoundRobin},
+      {async_random.name(), SchedKind::AsyncRandom},
+      {async_central.name(), SchedKind::AsyncCentralized},
+      {async_stress.name(), SchedKind::AsyncStaleStress},
+  };
+  for (const auto& row : table) {
+    EXPECT_EQ(row.name, campaign::to_string(row.kind));
+    EXPECT_EQ(campaign::sched_from_name(row.name), row.kind) << row.name;
+  }
+}
+
 TEST(AsyncSchedulers, RunnersProduceDeterministicResultsPerSeed) {
   const Algorithm alg = algorithms::algorithm6();
   const Grid grid(3, 4);
